@@ -111,13 +111,23 @@ class Cpu {
     OverflowDelivery partial;  // filled except regs/delivered_pc
   };
 
+  /// One predecoded text word: the instruction plus the OpInfo fields the
+  /// interpreter needs.
+  struct Decoded {
+    isa::Instr ins;
+    unsigned mem_size = 0;
+  };
+
   void step();
   void deliver_due();
   void count_event(HwEvent ev, u64 amount, u64 trigger_pc, bool ea_valid, u64 ea);
+  void counter_overflow(unsigned pic, u64 trigger_pc, bool ea_valid, u64 ea);
   void trigger_overflow(unsigned pic, u64 trigger_pc, bool ea_valid, u64 ea);
   void count_outcome(const cache::AccessOutcome& out, u64 pc, u64 ea);
   u32 draw_skid(HwEvent ev);
-  const isa::Instr& decoded(u64 pc);
+  const Decoded& decoded(u64 pc);
+  const Decoded& decoded_slow(u64 pc);
+  void predecode_text();
   void exec_hcall(i64 code, u64 pc);
   bool eval_cond(isa::Cond c) const;
   void set_cc_add(u64 a, u64 b, u64 r);
@@ -163,10 +173,9 @@ class Cpu {
   std::vector<i64> trace_;
   std::vector<AllocRecord> allocs_;
 
-  // Decode cache over the text segment.
+  // The text segment, decoded word by word on the first step.
   u64 text_base_ = 0;
-  std::vector<isa::Instr> decode_cache_;
-  std::vector<u8> decode_valid_;
+  std::vector<Decoded> text_;
 };
 
 }  // namespace dsprof::machine
