@@ -143,6 +143,217 @@ TEST(Tlb, LargePagesReduceMisses) {
 }
 
 // ---------------------------------------------------------------------------
+// Differential test against a reference LRU cache
+
+/// The cache model as it was before the MRU short-circuit: every access walks
+/// its set and ticks the LRU clock. Kept verbatim as the oracle the
+/// production Cache must match access for access.
+class RefCache {
+ public:
+  explicit RefCache(const CacheConfig& cfg) : cfg_(cfg) {
+    num_sets_ = cfg_.num_sets();
+    line_bits_ = log2_exact(cfg_.line_size);
+    set_bits_ = log2_exact(num_sets_);
+    lines_.resize(num_sets_ * cfg_.ways);
+  }
+
+  CacheAccess access(u64 addr, bool write) {
+    ++accesses_;
+    const u64 set = set_index(addr);
+    const u64 tag = tag_of(addr);
+    Line* base = &lines_[set * cfg_.ways];
+    for (u32 w = 0; w < cfg_.ways; ++w) {
+      Line& l = base[w];
+      if (l.valid && l.tag == tag) {
+        ++hits_;
+        l.lru = ++tick_;
+        if (write) l.dirty = true;
+        CacheAccess r;
+        r.hit = true;
+        return r;
+      }
+    }
+    // Miss.
+    if (write && !cfg_.write_allocate) {
+      return CacheAccess{};  // write-through no-allocate: nothing changes
+    }
+    return allocate(addr, write);
+  }
+
+  CacheAccess fill_line(u64 addr) {
+    const u64 set = set_index(addr);
+    const u64 tag = tag_of(addr);
+    Line* base = &lines_[set * cfg_.ways];
+    for (u32 w = 0; w < cfg_.ways; ++w) {
+      if (base[w].valid && base[w].tag == tag) return CacheAccess{true, false, false, 0};
+    }
+    ++prefetch_fills_;
+    return allocate(addr, /*write=*/false);
+  }
+
+  bool probe(u64 addr) const {
+    const u64 set = set_index(addr);
+    const u64 tag = tag_of(addr);
+    const Line* base = &lines_[set * cfg_.ways];
+    for (u32 w = 0; w < cfg_.ways; ++w) {
+      if (base[w].valid && base[w].tag == tag) return true;
+    }
+    return false;
+  }
+
+  void invalidate_all() {
+    for (auto& l : lines_) l = Line{};
+  }
+
+  u64 accesses() const { return accesses_; }
+  u64 hits() const { return hits_; }
+  u64 prefetch_fills() const { return prefetch_fills_; }
+
+ private:
+  struct Line {
+    u64 tag = 0;
+    bool valid = false;
+    bool dirty = false;
+    u64 lru = 0;
+  };
+
+  u64 set_index(u64 addr) const { return (addr >> line_bits_) & (num_sets_ - 1); }
+  u64 tag_of(u64 addr) const { return addr >> (line_bits_ + set_bits_); }
+
+  CacheAccess allocate(u64 addr, bool write) {
+    const u64 set = set_index(addr);
+    const u64 tag = tag_of(addr);
+    Line* base = &lines_[set * cfg_.ways];
+    Line* victim = base;
+    for (u32 w = 0; w < cfg_.ways; ++w) {
+      Line& l = base[w];
+      if (!l.valid) {
+        victim = &l;
+        break;
+      }
+      if (l.lru < victim->lru) victim = &l;
+    }
+    CacheAccess r;
+    r.filled = true;
+    if (victim->valid && victim->dirty) {
+      r.evicted_dirty = true;
+      r.evicted_addr = (victim->tag << (line_bits_ + set_bits_)) | (set << line_bits_);
+    }
+    victim->valid = true;
+    victim->tag = tag;
+    victim->dirty = write;
+    victim->lru = ++tick_;
+    return r;
+  }
+
+  CacheConfig cfg_;
+  unsigned line_bits_;
+  unsigned set_bits_;
+  u64 num_sets_;
+  std::vector<Line> lines_;
+  u64 tick_ = 0;
+  u64 accesses_ = 0;
+  u64 hits_ = 0;
+  u64 prefetch_fills_ = 0;
+};
+
+void expect_same(const CacheAccess& got, const CacheAccess& want, int op) {
+  EXPECT_EQ(got.hit, want.hit) << "op " << op;
+  EXPECT_EQ(got.filled, want.filled) << "op " << op;
+  EXPECT_EQ(got.evicted_dirty, want.evicted_dirty) << "op " << op;
+  EXPECT_EQ(got.evicted_addr, want.evicted_addr) << "op " << op;
+}
+
+/// A seeded address stream over 4x the cache's lines, half of it repeats of
+/// the previous line (the MRU short-circuit's case), with random offsets
+/// inside the line.
+class AddrStream {
+ public:
+  AddrStream(u64 seed, u64 lines, u32 line_size)
+      : rng_(seed), lines_(lines), line_size_(line_size) {}
+  u64 next() {
+    if (rng_.below(2) == 0) line_ = rng_.below(lines_);
+    return line_ * line_size_ + rng_.below(line_size_);
+  }
+  u64 below(u64 n) { return rng_.below(n); }
+
+ private:
+  Xoshiro256 rng_;
+  u64 lines_;
+  u32 line_size_;
+  u64 line_ = 0;
+};
+
+struct DiffCase {
+  u32 ways;
+  bool write_allocate;
+};
+
+class CacheDifferential : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(CacheDifferential, MatchesReferenceLruAfterEveryOperation) {
+  const DiffCase dc = GetParam();
+  const CacheConfig cfg{u64{16} * dc.ways * 32, dc.ways, 32, dc.write_allocate};  // 16 sets
+  Cache c(cfg);
+  RefCache ref(cfg);
+  AddrStream s(0xD1FF + dc.ways * 2 + dc.write_allocate, 4 * 16 * dc.ways, cfg.line_size);
+  for (int op = 0; op < 200000; ++op) {
+    const u64 kind = s.below(100);
+    const u64 addr = s.next();
+    if (kind < 45) {
+      expect_same(c.access(addr, false), ref.access(addr, false), op);
+    } else if (kind < 85) {
+      expect_same(c.access(addr, true), ref.access(addr, true), op);
+    } else if (kind < 94) {
+      expect_same(c.fill_line(addr), ref.fill_line(addr), op);
+    } else if (kind < 99) {
+      EXPECT_EQ(c.probe(addr), ref.probe(addr)) << "op " << op;
+    } else if (s.below(20) == 0) {
+      c.invalidate_all();
+      ref.invalidate_all();
+    }
+    ASSERT_EQ(c.accesses(), ref.accesses()) << "op " << op;
+    ASSERT_EQ(c.hits(), ref.hits()) << "op " << op;
+    ASSERT_EQ(c.prefetch_fills(), ref.prefetch_fills()) << "op " << op;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WaysAndWritePolicy, CacheDifferential,
+                         ::testing::Values(DiffCase{1, true}, DiffCase{1, false},
+                                           DiffCase{2, true}, DiffCase{2, false},
+                                           DiffCase{4, true}, DiffCase{4, false}),
+                         [](const ::testing::TestParamInfo<DiffCase>& i) {
+                           return "ways" + std::to_string(i.param.ways) +
+                                  (i.param.write_allocate ? "_allocate" : "_no_allocate");
+                         });
+
+TEST(CacheDifferential, TlbMatchesReferenceLru) {
+  const TlbConfig tcfg{16, 2, 8192};
+  Tlb t(tcfg);
+  CacheConfig cfg;
+  cfg.line_size = 8192;
+  cfg.ways = 2;
+  cfg.size_bytes = u64{16} * 8192;
+  RefCache ref(cfg);
+  AddrStream s(0x7100, 4 * 16, 8192);
+  for (int op = 0; op < 100000; ++op) {
+    const u64 kind = s.below(100);
+    const u64 addr = s.next();
+    if (kind < 90) {
+      ASSERT_EQ(t.lookup(addr), ref.access(addr, false).hit) << "op " << op;
+    } else if (kind < 99) {
+      ASSERT_EQ(t.probe(addr), ref.probe(addr)) << "op " << op;
+    } else {
+      t.invalidate_all();
+      ref.invalidate_all();
+    }
+    ASSERT_EQ(t.accesses(), ref.accesses()) << "op " << op;
+    ASSERT_EQ(t.misses(), ref.accesses() - ref.hits()) << "op " << op;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Hierarchy
 
 TEST(Hierarchy, LoadMissCountsEcRefAndRdMiss) {

@@ -109,5 +109,66 @@ TEST(Memory, ReadBytesOfUntouchedMemoryIsZero) {
   for (u8 b : buf) EXPECT_EQ(b, 0);
 }
 
+// --- the load/store window ----------------------------------------------------
+// Memory caches the segment-and-chunk window of the last checked access. The
+// tests below place segments so that a window's edges fall inside a 64 KB
+// chunk and check every fault still fires from inside or next to it.
+
+TEST(MemoryWindow, ReadOnlyNeighbourInSameChunkStillFaults) {
+  Memory m;
+  // One 64 KB chunk: a read-only table, then a writable buffer right after.
+  m.add_segment({"rodata", SegKind::Data, kDataBase, 0x800, false, false});
+  m.add_segment({"buf", SegKind::Data, kDataBase + 0x800, 0x800, true, false});
+  m.store(kDataBase + 0x800, 8, 42);
+  EXPECT_EQ(m.load(kDataBase + 0x800, 8), 42u);
+  EXPECT_THROW(m.store(kDataBase + 0x7F8, 8, 1), Error);
+  // A load from the read-only table opens its window; stores still fault.
+  EXPECT_EQ(m.load(kDataBase, 8), 0u);
+  EXPECT_THROW(m.store(kDataBase + 8, 8, 1), Error);
+  EXPECT_THROW(m.store(kDataBase, 1, 1), Error);
+  m.store(kDataBase + 0x808, 8, 7);
+  EXPECT_EQ(m.load(kDataBase + 0x808, 8), 7u);
+}
+
+TEST(MemoryWindow, SegmentEndingInsideChunkFaultsOnStraddle) {
+  Memory m;
+  // Ends 4 bytes into an 8-byte word, mid-chunk.
+  m.add_segment({"data", SegKind::Data, kDataBase, 0x1004, true, false});
+  m.store(kDataBase + 0xFF8, 8, 5);
+  EXPECT_EQ(m.load(kDataBase + 0xFF8, 8), 5u);
+  EXPECT_EQ(m.load(kDataBase + 0x1000, 4), 0u);
+  EXPECT_THROW(m.load(kDataBase + 0x1000, 8), Error);
+  EXPECT_THROW(m.store(kDataBase + 0x1000, 8, 1), Error);
+  EXPECT_THROW(m.load(kDataBase + 0x1004, 1), Error);
+  EXPECT_THROW(m.load(kDataBase - 8, 8), Error);
+}
+
+TEST(MemoryWindow, MisalignedAccessInsideWindowFaults) {
+  Memory m;
+  m.add_segment({"heap", SegKind::Heap, kHeapBase, 0x100000, true, false});
+  m.store(kHeapBase + 64, 8, 1);
+  EXPECT_EQ(m.load(kHeapBase + 64, 8), 1u);
+  EXPECT_THROW(m.load(kHeapBase + 68, 8), Error);
+  EXPECT_THROW(m.store(kHeapBase + 66, 4, 1), Error);
+  EXPECT_THROW(m.load(kHeapBase + 65, 8), Error);
+  EXPECT_EQ(m.load(kHeapBase + 65, 1), 0u);
+}
+
+TEST(MemoryWindow, AddSegmentAfterAccesses) {
+  Memory m;
+  m.add_segment({"heap", SegKind::Heap, kHeapBase, 0x1000, true, false});
+  m.store(kHeapBase + 8, 8, 9);
+  EXPECT_EQ(m.load(kHeapBase + 8, 8), 9u);
+  EXPECT_THROW(m.load(kHeapBase + 0x1000, 8), Error);
+  // The new segment sits in the same chunk, right after the first one; its
+  // accesses are allowed and go to the same storage.
+  m.add_segment({"more", SegKind::Heap, kHeapBase + 0x1000, 0x1000, false, false});
+  EXPECT_EQ(m.load(kHeapBase + 0x1000, 8), 0u);
+  EXPECT_THROW(m.store(kHeapBase + 0x1000, 8, 1), Error);
+  EXPECT_EQ(m.load(kHeapBase + 8, 8), 9u);
+  m.store(kHeapBase + 16, 8, 3);
+  EXPECT_EQ(m.load(kHeapBase + 16, 8), 3u);
+}
+
 }  // namespace
 }  // namespace dsprof::mem
