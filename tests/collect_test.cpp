@@ -3,6 +3,7 @@
 #include <map>
 
 #include "dsl_fixtures.hpp"
+#include "temp_dir.hpp"
 
 namespace dsprof::collect {
 namespace {
@@ -304,7 +305,8 @@ TEST_F(CollectorEndToEnd, SampledTotalsEstimateTrueCounts) {
 
 TEST_F(CollectorEndToEnd, ExperimentSaveLoadRoundTrip) {
   auto ex = testfix::quick_collect(*image_, "+dcrm,997", "on");
-  const std::string dir = ::testing::TempDir() + "/dsp_experiment_test";
+  const testfix::TempDir tmp;
+  const std::string dir = tmp / "exp";
   ex.save(dir);
   const experiment::Experiment back = experiment::Experiment::load(dir);
   EXPECT_EQ(back.events.size(), ex.events.size());

@@ -15,6 +15,7 @@
 #include "scc/compile.hpp"
 #include "support/bytestream.hpp"
 #include "support/mmap_file.hpp"
+#include "temp_dir.hpp"
 
 namespace dsprof::experiment {
 namespace {
@@ -272,7 +273,8 @@ class ExperimentCorruption : public ::testing::Test {
   /// throw an Error whose message names the file and the directory.
   static void expect_corrupt(const Experiment& ex, FileFormat fmt, const char* file,
                              const std::function<void(std::vector<u8>&)>& mutate) {
-    const std::string dir = "/tmp/dsp_corrupt_exp";
+    const testfix::TempDir tmp;
+    const std::string dir = tmp / "exp";
     ex.save(dir, fmt);
     std::vector<u8> bytes = read_file(dir + "/" + file);
     mutate(bytes);
@@ -344,8 +346,9 @@ TEST_F(ExperimentCorruption, CorruptLoadobjectsIsRejectedWithContext) {
 
 TEST_F(ExperimentCorruption, BothFormatsStillRoundTripAfterHardening) {
   const Experiment ex = tiny_experiment();
+  const testfix::TempDir tmp;
   for (const FileFormat fmt : {FileFormat::Columnar, FileFormat::Legacy}) {
-    const std::string dir = "/tmp/dsp_corrupt_rt";
+    const std::string dir = tmp / "exp";
     ex.save(dir, fmt);
     const Experiment back = Experiment::load(dir);
     ASSERT_EQ(back.events.size(), ex.events.size());
@@ -434,9 +437,10 @@ TEST_F(AlignedCorruption, CorruptLoadobjectsIsRejectedWithContext) {
 
 TEST_F(AlignedCorruption, AlignedFormatStillRoundTripsAfterHardening) {
   const Experiment ex = tiny_experiment();
+  const testfix::TempDir tmp;
   for (const char* mm : {static_cast<const char*>(nullptr), "0"}) {
     const ScopedMmapEnv env(mm);
-    const std::string dir = "/tmp/dsp_corrupt_rt_aligned";
+    const std::string dir = tmp / "exp";
     ex.save(dir, FileFormat::ColumnarAligned);
     const Experiment back = Experiment::load(dir);
     ASSERT_EQ(back.events.size(), ex.events.size());
@@ -462,7 +466,8 @@ void put_aligned_col(ByteWriter& w, const std::vector<T>& col) {
 void expect_mapped_rejects(const std::function<void(ByteWriter&)>& write_columns) {
   ByteWriter w;
   write_columns(w);
-  const std::string path = "/tmp/dsp_mapped_hostile.bin";
+  const testfix::TempDir tmp;
+  const std::string path = tmp / "hostile.bin";
   write_file(path, w.bytes());
   const auto mf = MappedFile::open(path);
   ByteReader r(mf->data(), mf->size());
@@ -568,7 +573,8 @@ u32 events_magic(const std::string& dir) {
 }
 
 TEST_F(StoreRoundTrip, ColumnarFormatRoundTrips) {
-  const std::string dir = "/tmp/dsp_store_rt_columnar";
+  const testfix::TempDir tmp;
+  const std::string dir = tmp / "exp";
   ex_->save(dir, FileFormat::Columnar);
   EXPECT_EQ(events_magic(dir), 0x44535046u);  // 'DSPF'
   const Experiment back = Experiment::load(dir);
@@ -587,14 +593,16 @@ TEST_F(StoreRoundTrip, ColumnarFormatRoundTrips) {
 TEST_F(StoreRoundTrip, LegacyFormatRoundTripsAndAgreesWithColumnar) {
   // The seed's row-oriented layout must load into the same events (and the
   // loader re-interns, so dedup statistics match the in-memory store).
-  const std::string dir = "/tmp/dsp_store_rt_legacy";
+  const testfix::TempDir tmp;
+  const std::string dir = tmp / "legacy";
   ex_->save(dir, FileFormat::Legacy);
+  ex_->save(tmp / "columnar", FileFormat::Columnar);
   EXPECT_EQ(events_magic(dir), 0x44535045u);  // 'DSPE'
   const Experiment back = Experiment::load(dir);
   expect_same_events(*ex_, back);
   EXPECT_EQ(back.events.unique_callstacks(), ex_->events.unique_callstacks());
   // Both layouts feed the analyzer identically.
-  const Experiment col = Experiment::load("/tmp/dsp_store_rt_columnar");
+  const Experiment col = Experiment::load(tmp / "columnar");
   analyze::Analysis al(back), ac(col);
   EXPECT_EQ(analyze::render_overview(al), analyze::render_overview(ac));
   EXPECT_EQ(analyze::render_data_objects(al, analyze::kUserCpuMetric),
@@ -654,7 +662,8 @@ TEST_F(StoreRoundTrip, ShardedMatchesSeedEquivalentBaselineEngine) {
 // --- zero-copy aligned layout + mmap loading ---------------------------------
 
 TEST_F(StoreRoundTrip, AlignedFormatIsTheDefaultAndRoundTripsZeroCopy) {
-  const std::string dir = "/tmp/dsp_store_rt_aligned";
+  const testfix::TempDir tmp;
+  const std::string dir = tmp / "exp";
   ex_->save(dir);  // default format
   EXPECT_EQ(events_magic(dir), 0x44535047u);  // 'DSPG'
   const Experiment back = Experiment::load(dir);
@@ -667,7 +676,8 @@ TEST_F(StoreRoundTrip, AlignedFormatIsTheDefaultAndRoundTripsZeroCopy) {
 }
 
 TEST_F(StoreRoundTrip, MappedAndStreamedLoadsAgree) {
-  const std::string dir = "/tmp/dsp_store_rt_aligned_eq";
+  const testfix::TempDir tmp;
+  const std::string dir = tmp / "exp";
   ex_->save(dir, FileFormat::ColumnarAligned);
   const Experiment mapped = Experiment::load(dir);
   ASSERT_TRUE(mapped.events.is_mapped());
@@ -687,7 +697,8 @@ TEST_F(StoreRoundTrip, MappedAndStreamedLoadsAgree) {
 }
 
 TEST_F(StoreRoundTrip, MappedStoreIsFrozenAndRefusesAppend) {
-  const std::string dir = "/tmp/dsp_store_rt_aligned_frozen";
+  const testfix::TempDir tmp;
+  const std::string dir = tmp / "exp";
   ex_->save(dir, FileFormat::ColumnarAligned);
   Experiment back = Experiment::load(dir);
   ASSERT_TRUE(back.events.is_frozen());
@@ -753,7 +764,8 @@ TEST_F(StoreRoundTrip, RadixMatchesOnMappedExperiments) {
   // The fast path end to end: a DSPG experiment loaded through mmap views,
   // reduced by the radix engine, must render exactly what the owning store
   // and the baseline engine produce.
-  const std::string dir = "/tmp/dsp_store_rt_aligned_radix";
+  const testfix::TempDir tmp;
+  const std::string dir = tmp / "exp";
   ex_->save(dir, FileFormat::ColumnarAligned);
   const Experiment mapped = Experiment::load(dir);
   ASSERT_TRUE(mapped.events.is_mapped());

@@ -10,6 +10,7 @@
 
 #include "analyze/reports.hpp"
 #include "dsl_fixtures.hpp"
+#include "temp_dir.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
@@ -275,9 +276,9 @@ TEST_F(MultiplexCollect, SaveLoadRoundTripsSlicesInEveryFormat) {
       {experiment::FileFormat::Columnar, 0x44535049},         // "DSPI"
       {experiment::FileFormat::Legacy, 0x44535048},           // "DSPH"
   };
+  const testfix::TempDir tmp;
   for (const auto& c : cases) {
-    const std::string dir = ::testing::TempDir() + "/dsp_mpx_fmt_" +
-                            std::to_string(static_cast<int>(c.format));
+    const std::string dir = tmp / ("mpx_fmt_" + std::to_string(static_cast<int>(c.format)));
     ex.save(dir, c.format);
     EXPECT_EQ(events_magic(dir), c.magic);
     const auto back = experiment::Experiment::load(dir);
@@ -315,9 +316,9 @@ TEST_F(MultiplexCollect, NonMultiplexedSavesKeepTheOriginalFormats) {
       {experiment::FileFormat::Legacy, 0x44535045},           // "DSPE"
   };
   const std::string ref = analyze::render_json_report(analyze::Analysis(ex));
+  const testfix::TempDir tmp;
   for (const auto& c : cases) {
-    const std::string dir = ::testing::TempDir() + "/dsp_nonmpx_fmt_" +
-                            std::to_string(static_cast<int>(c.format));
+    const std::string dir = tmp / ("nonmpx_fmt_" + std::to_string(static_cast<int>(c.format)));
     ex.save(dir, c.format);
     EXPECT_EQ(events_magic(dir), c.magic);
     const auto back = experiment::Experiment::load(dir);
@@ -329,7 +330,8 @@ TEST_F(MultiplexCollect, NonMultiplexedSavesKeepTheOriginalFormats) {
 
 TEST_F(MultiplexCollect, CorruptSliceTablesFailWithStructuredErrors) {
   auto ex = collect_mpx().ex;
-  const std::string base = ::testing::TempDir() + "/dsp_mpx_corrupt";
+  const testfix::TempDir tmp;
+  const std::string base = tmp / "mpx_corrupt";
 
   // A counter pointing past the slice table.
   {

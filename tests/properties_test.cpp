@@ -9,6 +9,7 @@
 #include "dsl_fixtures.hpp"
 #include "mcfsim/mcfsim.hpp"
 #include "support/bytestream.hpp"
+#include "temp_dir.hpp"
 
 namespace dsprof {
 namespace {
@@ -31,8 +32,9 @@ TEST(Determinism, ExperimentSaveLoadSaveIsByteStable) {
   auto mod = testfix::make_chase_module(500, 3, 1024);
   const sym::Image img = scc::compile(*mod);
   auto ex = testfix::quick_collect(img, "+dcrm,97", "hi");
-  const std::string d1 = ::testing::TempDir() + "/dsp_prop_exp1";
-  const std::string d2 = ::testing::TempDir() + "/dsp_prop_exp2";
+  const testfix::TempDir tmp;
+  const std::string d1 = tmp / "exp1";
+  const std::string d2 = tmp / "exp2";
   ex.save(d1);
   experiment::Experiment::load(d1).save(d2);
   EXPECT_EQ(read_file(d1 + "/events.bin"), read_file(d2 + "/events.bin"));

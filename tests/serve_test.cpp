@@ -18,6 +18,7 @@
 #include "analyze/reports.hpp"
 #include "dsl_fixtures.hpp"
 #include "serve/client.hpp"
+#include "temp_dir.hpp"
 #include "serve/server.hpp"
 
 namespace dsprof::serve {
@@ -285,7 +286,8 @@ TEST(PipeTransport, ShutdownDisconnectsBothEnds) {
 }
 
 TEST_F(ServeTest, UdsTransportEndToEnd) {
-  const std::string path = ::testing::TempDir() + "serve_test_uds.sock";
+  const testfix::TempDir tmp;
+  const std::string path = tmp / "uds.sock";
   UdsListener listener(path);
   Server server;
   std::thread accepter([&] {
@@ -823,8 +825,8 @@ TEST(Endpoints, RetryReachesAListenerThatStartsLate) {
   // The deployment race connect_with_retry exists for: the collector comes
   // up before the daemon. The first attempts fail (no socket yet), then the
   // listener appears and a later attempt lands.
-  const std::string path = ::testing::TempDir() + "serve_test_late.sock";
-  ::unlink(path.c_str());
+  const testfix::TempDir tmp;
+  const std::string path = tmp / "late.sock";
   std::thread late([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     UdsListener listener(path);
