@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + full test suite, once normally and once under
-# AddressSanitizer (DSPROF_SANITIZE=address), plus three static/dynamic gates:
+# AddressSanitizer (DSPROF_SANITIZE=address), plus these static/dynamic gates:
+#   - the stress gate: the tests that write files or pin the simulator
+#     (ExperimentCorruption/AlignedCorruption/StoreRoundTrip, Memory, Cache,
+#     SimDigest) run three times over at ctest -j$(nproc), so a race between
+#     tests running side by side, or a simulator change that is not bit-exact,
+#     cannot pass by luck;
 #   - clang-tidy over src/sa/, src/opt/, src/collect/, src/machine/,
 #     src/obs/, src/serve/, src/experiment/ and src/analyze/ (skipped with a
 #     notice when clang-tidy is not installed — the reference container does
@@ -56,6 +61,17 @@ run_pass() {
   cmake --build "${dir}" -j "${jobs}"
   echo "== ${name}: ctest =="
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}"
+}
+
+# Stress gate: repeat the file-writing and simulator-pinning tests at full
+# parallelism. ctest runs each TEST as its own process, so tests sharing a
+# path race only when scheduled side by side; three rounds at -j$(nproc)
+# make that schedule near certain.
+run_stress() {
+  local dir="$1"
+  echo "== stress: file-writing and simulator-digest tests, 3 rounds at -j${jobs} =="
+  ctest --test-dir "${dir}" --output-on-failure -j "${jobs}" --repeat until-fail:3 \
+    -R 'Experiment|Aligned|Store|Memory|Cache|SimDigest'
 }
 
 # clang-tidy over the static-analysis, layout-optimizer, collect, machine,
@@ -428,6 +444,7 @@ run_dsprofd_smoke() {
 case "${mode}" in
   --fast|fast)
     run_pass "normal" "${repo}/build"
+    run_stress "${repo}/build"
     run_tidy "${repo}/build"
     run_s3verify "${repo}/build"
     run_cli_docs "${repo}/build"
@@ -447,6 +464,7 @@ case "${mode}" in
     ;;
   all|--all)
     run_pass "normal" "${repo}/build"
+    run_stress "${repo}/build"
     run_tidy "${repo}/build"
     run_s3verify "${repo}/build"
     run_cli_docs "${repo}/build"
