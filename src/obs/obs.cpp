@@ -77,14 +77,29 @@ struct Registry {
 
   // Shards are created on a thread's first instrumented call and never
   // freed: a thread may exit, but its tallies must survive into later
-  // snapshots. The vector holds stable pointers (unique_ptr).
+  // snapshots. The vector holds stable pointers (unique_ptr). An exited
+  // thread's shard goes on the free list and the next new thread adds to
+  // it, so the shard count is bounded by the most threads ever live at
+  // once, not by every thread a long run starts (each analysis pass and
+  // each daemon session starts new ones).
   std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<Shard*> free_shards;
 
   Shard* acquire_shard() {
     std::lock_guard<std::mutex> lock(mu);
+    if (!free_shards.empty()) {
+      Shard* s = free_shards.back();
+      free_shards.pop_back();
+      return s;
+    }
     shards.push_back(std::make_unique<Shard>());
     shards.back()->tid = static_cast<u32>(shards.size());
     return shards.back().get();
+  }
+
+  void release_shard(Shard* s) {
+    std::lock_guard<std::mutex> lock(mu);
+    free_shards.push_back(s);
   }
 };
 
@@ -93,9 +108,28 @@ Registry& registry() {
   return *r;
 }
 
+thread_local Shard* t_shard = nullptr;
+
+/// Hands the thread's shard back to the registry when the thread exits.
+/// Kept apart from t_shard, which stays a plain pointer: a metric recorded
+/// after this ran (say, from an exit handler on the main thread) finds it
+/// null and takes a shard afresh instead of reading a destroyed object.
+struct ShardRelease {
+  ShardRelease() = default;
+  ShardRelease(const ShardRelease&) = delete;
+  ShardRelease& operator=(const ShardRelease&) = delete;
+  ~ShardRelease() {
+    registry().release_shard(t_shard);
+    t_shard = nullptr;
+  }
+};
+
 Shard& shard() {
-  thread_local Shard* s = registry().acquire_shard();
-  return *s;
+  if (t_shard == nullptr) {
+    t_shard = registry().acquire_shard();
+    thread_local ShardRelease release;
+  }
+  return *t_shard;
 }
 
 }  // namespace

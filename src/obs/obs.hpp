@@ -143,7 +143,8 @@ struct HistogramSnapshot {
 };
 
 /// One completed span, timestamps from now_ns(). `tid` is the shard index
-/// (a stable small integer per thread), `name` indexes Snapshot::span_names.
+/// (a small integer, stable for a thread's life; a thread started after
+/// another exited may reuse its index), `name` indexes Snapshot::span_names.
 struct SpanRecord {
   u32 name = 0;
   u32 tid = 0;

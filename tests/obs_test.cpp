@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,6 +110,34 @@ TEST_F(ObsTest, ShardMergeIsDeterministicAcrossThreads) {
     const u64 n = kThreads * kPerThread;
     EXPECT_EQ(hs->sum, n * (n - 1) / 2);
   }
+}
+
+// A thread that exits hands its shard to the next new thread: a long run
+// that keeps starting short-lived threads (analysis passes, daemon
+// sessions) holds as many shards as threads it ever ran at once, and the
+// exited threads' tallies still count.
+TEST_F(ObsTest, ExitedThreadsShardsAreReused) {
+  const obs::Counter c = obs::counter("test.reuse.counter");
+  const obs::SpanName name = obs::span_name("test.reuse.span");
+  const int kThreads = 64;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([&] {
+      c.add();
+      obs::ScopedSpan s(name);
+    }).join();
+  }
+  EXPECT_EQ(obs::snapshot().counter_value("test.reuse.counter"), u64{kThreads});
+  std::vector<std::string> names;
+  std::set<u32> tids;
+  size_t spans = 0;
+  for (const obs::SpanRecord& r : obs::span_records(&names)) {
+    if (names[r.name] != "test.reuse.span") continue;
+    ++spans;
+    tids.insert(r.tid);
+  }
+  EXPECT_EQ(spans, static_cast<size_t>(kThreads));
+  // One thread ran at a time, so they needed no more than a few shards.
+  EXPECT_LE(tids.size(), 8u);
 }
 
 TEST_F(ObsTest, SnapshotIsStableWithoutActivity) {
