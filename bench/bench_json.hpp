@@ -13,8 +13,30 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 
 namespace dsprof::bench {
+
+/// `"host":{...}` — the machine a bench ran on (logical CPUs, CPU model from
+/// /proc/cpuinfo where it exists, compiler), for the JSON objects whose
+/// numbers depend on it.
+inline std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    const size_t value =
+        colon == std::string::npos ? colon : line.find_first_not_of(' ', colon + 1);
+    if (value != std::string::npos) cpu = line.substr(value);
+    break;
+  }
+  for (char& c : cpu) {
+    if (c == '"' || c == '\\') c = ' ';
+  }
+  return "\"host\":{\"nproc\":" + std::to_string(std::thread::hardware_concurrency()) +
+         ",\"cpu\":\"" + cpu + "\",\"compiler\":\"" + __VERSION__ + "\"}";
+}
 
 class JsonSink {
  public:

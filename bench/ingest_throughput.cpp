@@ -14,16 +14,14 @@
 //
 // Floor: the ROADMAP's production-scale north star needs ingest to keep up
 // with many concurrent collectors; with the zero-copy fast path (range
-// batch encode, frozen decode, queue-free reader-thread folds into the
-// radix engine) the acceptance bar is >= 10,000,000 events/s sustained
+// batch encode, zero-copy decode, queued folds into the radix engine) the
+// acceptance bar is >= 10,000,000 events/s sustained
 // through the in-process transport into live aggregates — normalized for
 // machine speed using the untouched Baseline reduction engine as an
 // in-run yardstick against its committed rate, exactly like
 // bench/pipeline_throughput's fold floor (shared runners vary 2x between
-// sweeps; an absolute floor would gate the runner, not the code). The
-// bench measures both ingest modes (direct = queue-free, queued = the
-// bounded queue hop) and applies the floor to the default direct path;
-// it exits nonzero below the floor (DSPROF_BENCH_FLOOR_EVENTS_PER_SEC
+// sweeps; an absolute floor would gate the runner, not the code). It
+// exits nonzero below the floor (DSPROF_BENCH_FLOOR_EVENTS_PER_SEC
 // overrides with an absolute events/s floor; 0 disables).
 //
 // Emits one machine-readable JSON object on the last line.
@@ -55,10 +53,8 @@ double seconds_since(Clock::time_point t0) {
 /// barrier (hello/teardown excluded from the timed region would flatter the
 /// result — everything a real collector pays is included).
 double stream_once(const experiment::Experiment& ex, size_t batch_events,
-                   std::string* snapshot_json, bool direct_fold = true) {
-  serve::ServerOptions sopt;
-  sopt.direct_fold = direct_fold;
-  serve::Server server(sopt);
+                   std::string* snapshot_json) {
+  serve::Server server;
   auto [client_end, server_end] = serve::make_pipe_pair(/*capacity=*/4u << 20);
   server.add_session(std::move(server_end));
   serve::Client client(std::move(client_end));
@@ -118,17 +114,10 @@ int main(int argc, char** argv) {
   std::puts("snapshot == offline er_print -J: ok");
 
   const int kRuns = 3;
-  double best_direct = 1e300, best_queued = 1e300;
-  for (int i = 0; i < kRuns; ++i) {
-    best_direct = std::min(best_direct, stream_once(ex, 8192, nullptr, /*direct_fold=*/true));
-    best_queued = std::min(best_queued, stream_once(ex, 8192, nullptr, /*direct_fold=*/false));
-  }
-  const double eps = static_cast<double>(n_events) / best_direct;
-  const double eps_queued = static_cast<double>(n_events) / best_queued;
-  std::printf("ingest direct (queue-free): %.2fM events/s (best of %d, batch 8192)\n",
-              eps / 1e6, kRuns);
-  std::printf("ingest queued (bounded queue): %.2fM events/s (best of %d, batch 8192)\n",
-              eps_queued / 1e6, kRuns);
+  double best = 1e300;
+  for (int i = 0; i < kRuns; ++i) best = std::min(best, stream_once(ex, 8192, nullptr));
+  const double eps = static_cast<double>(n_events) / best;
+  std::printf("ingest: %.2fM events/s (best of %d, batch 8192)\n", eps / 1e6, kRuns);
 
   // Machine-speed yardstick: fold the unreplicated run through the seed
   // Baseline engine (untouched by the fast path) and scale the 10M floor
@@ -152,15 +141,14 @@ int main(int argc, char** argv) {
   const bool pass = floor <= 0.0 || eps >= floor;
   std::printf("baseline yardstick: %.2fM events/s (committed %.2fM)\n", base_eps / 1e6,
               committed_baseline / 1e6);
-  std::printf("floor (direct): %.0f events/s (machine-normalized) -> %s\n", floor,
+  std::printf("floor: %.0f events/s (machine-normalized) -> %s\n", floor,
               pass ? "pass" : "FAIL");
 
   json_out.emit(
       "{\"bench\":\"ingest_throughput\",\"events\":%zu,\"batch_events\":8192,"
-      "\"events_per_sec\":%.0f,\"queued_events_per_sec\":%.0f,"
-      "\"baseline_events_per_sec\":%.0f,"
+      "\"events_per_sec\":%.0f,\"baseline_events_per_sec\":%.0f,"
       "\"floor_events_per_sec\":%.0f,\"snapshot_matches_offline\":true,"
-      "\"pass\":%s}",
-      n_events, eps, eps_queued, base_eps, floor, pass ? "true" : "false");
+      "\"pass\":%s,%s}",
+      n_events, eps, base_eps, floor, pass ? "true" : "false", bench::host_json().c_str());
   return pass ? 0 : 1;
 }

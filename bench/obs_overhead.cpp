@@ -1,6 +1,6 @@
 // OBS — the self-observability layer's acceptance bar (src/obs/): the
 // instrumentation wired through the pipeline hot paths (per-shard fold
-// timing in reduce_sharded, queue/fold accounting in the serve stack) must
+// timing in the radix reduction, queue/fold accounting in the serve stack) must
 // cost < 3% on the two throughput benches it rides in, *with obs enabled*.
 //
 // Method: the same process measures each hot path twice — obs disabled
@@ -10,7 +10,7 @@
 // drift and the median rejects scheduler outliers, which best-of-N does
 // not on a loaded single-core box.
 //
-//   reduce: analyze::Reduction sharded engine at the default thread count
+//   reduce: analyze::Reduction radix engine at the default thread count
 //           over the FIG1 small workload (the pipeline_throughput path);
 //   ingest: full streaming session through the in-process pipe transport
 //           into a live server session (the ingest_throughput path).
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   // (er_print -O and a dsprofd Stats frame key on exactly these counters.)
   obs::set_enabled(true);
   const obs::Snapshot s0 = obs::snapshot();
-  const auto rr = analyze::Reduction::run(both, threads, analyze::Reduction::Engine::Sharded);
+  const auto rr = analyze::Reduction::run(both, threads, analyze::Reduction::Engine::Radix);
   serve::Accounting acct;
   (void)stream_once(ex, &acct);
   const obs::Snapshot s1 = obs::snapshot();
@@ -138,10 +138,10 @@ int main(int argc, char** argv) {
   // --- overhead: adjacent off/on pairs, median ratio ------------------------
   const int kReps = 13;
   // Each timed reduce sample folds the workload several times so the sample
-  // is long enough (~50 ms) that scheduler ticks don't dominate the ratio.
+  // is long enough (tens of ms) that scheduler ticks don't dominate the ratio.
   auto do_reduce = [&] {
-    for (int k = 0; k < 4; ++k)
-      (void)analyze::Reduction::run(both, threads, analyze::Reduction::Engine::Sharded);
+    for (int k = 0; k < 16; ++k)
+      (void)analyze::Reduction::run(both, threads, analyze::Reduction::Engine::Radix);
   };
   auto do_ingest = [&] { (void)stream_once(ex, nullptr); };
   (void)timed(false, do_reduce);  // warmup (allocator, page faults)
@@ -187,8 +187,8 @@ int main(int argc, char** argv) {
   json_out.emit(
       "{\"bench\":\"obs_overhead\",\"reduce_events\":%zu,\"ingest_events\":%zu,"
       "\"threads\":%u,\"reduce_overhead_pct\":%.3f,\"ingest_overhead_pct\":%.3f,"
-      "\"max_overhead_pct\":%.1f,\"counters_agree\":%s,\"pass\":%s}",
+      "\"max_overhead_pct\":%.1f,\"counters_agree\":%s,\"pass\":%s,%s}",
       n_reduce_events, n_ingest_events, threads, reduce_pct, ingest_pct, max_pct,
-      agree ? "true" : "false", pass ? "true" : "false");
+      agree ? "true" : "false", pass ? "true" : "false", bench::host_json().c_str());
   return pass ? 0 : 1;
 }

@@ -7,8 +7,7 @@
 //
 // Usage:
 //   dsprofd --listen <uri> [--once] [--queue N] [--policy drop|block]
-//           [--ingest direct|queued] [--retain N] [--window MS]
-//           [--trace <file>]
+//           [--retain N] [--window MS] [--trace <file>]
 //
 // The final stats line carries the daemon's self-profile (src/obs/) inside
 // the ServerStats JSON, and --trace dumps the span timeline for
@@ -46,11 +45,6 @@ void print_usage() {
       "  --policy <drop|block> overload policy: drop-oldest with exact drop\n"
       "                        accounting (default), or block the reader and\n"
       "                        let backpressure reach the client\n"
-      "  --ingest <direct|queued>\n"
-      "                        direct (default): fold batches in the reader\n"
-      "                        thread when the reducer keeps up (queue-free\n"
-      "                        fast path); queued: always go through the\n"
-      "                        bounded queue\n"
       "  --retain <N>          completed sessions kept for the merged fleet\n"
       "                        view; the oldest beyond the cap is evicted,\n"
       "                        accounting kept (default 64)\n"
@@ -82,13 +76,6 @@ int main(int argc, char** argv) {
       const std::string p = argv[++i];
       opt.overload = p == "block" ? serve::ServerOptions::Overload::Block
                                   : serve::ServerOptions::Overload::DropOldest;
-    } else if (arg == "--ingest" && i + 1 < argc) {
-      const std::string p = argv[++i];
-      if (p != "direct" && p != "queued") {
-        std::printf("unknown --ingest mode: %s (want direct or queued)\n", p.c_str());
-        return 2;
-      }
-      opt.direct_fold = p == "direct";
     } else if (arg == "--retain" && i + 1 < argc) {
       opt.retain_sessions = std::stoul(argv[++i]);
     } else if (arg == "--window" && i + 1 < argc) {

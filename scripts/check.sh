@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build + full test suite, once normally and once under
-# AddressSanitizer (DSPROF_SANITIZE=address), plus these static/dynamic gates:
+# Tier-1 verification: build + full test suite, once normally and once each
+# under AddressSanitizer and UndefinedBehaviorSanitizer
+# (DSPROF_SANITIZE=address / undefined), serve_test and obs_test once under
+# ThreadSanitizer (DSPROF_SANITIZE=thread: the dsprofd session threads and
+# the obs shards), plus these static/dynamic gates:
 #   - the stress gate: the tests that write files or pin the simulator
 #     (ExperimentCorruption/AlignedCorruption/StoreRoundTrip, Memory, Cache,
 #     SimDigest) run three times over at ctest -j$(nproc), so a race between
@@ -41,10 +44,17 @@
 #     (bench/multiplex holds the +/-5% renormalization-accuracy bar).
 # Usage:
 #
-#   scripts/check.sh            # both build passes + all gates + benches
+#   scripts/check.sh            # every build pass + all gates + benches
 #   scripts/check.sh --fast     # normal pass + gates only
 #   scripts/check.sh --asan     # ASan pass only
 #   scripts/check.sh --bench    # benchmark sweep only (BENCH_*.json)
+#
+# The UBSan and TSan passes run only in the full sweep; by hand they are
+#   cmake -B build-ubsan -S . -DDSPROF_SANITIZE=undefined && cmake --build build-ubsan
+#   ctest --test-dir build-ubsan -j$(nproc)
+#   cmake -B build-tsan -S . -DDSPROF_SANITIZE=thread
+#   cmake --build build-tsan --target serve_test obs_test
+#   build-tsan/tests/serve_test && build-tsan/tests/obs_test
 #
 # Exits nonzero on the first failing step.
 set -euo pipefail
@@ -61,6 +71,21 @@ run_pass() {
   cmake --build "${dir}" -j "${jobs}"
   echo "== ${name}: ctest =="
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}"
+}
+
+# ThreadSanitizer pass over the two multi-threaded subsystems: the dsprofd
+# sessions (reader + reducer threads, merged snapshots across sessions) and
+# the obs shards. The rest of the tree is single-threaded or covered by the
+# reduction's bit-identity tests, and TSan makes the simulator-heavy tests
+# too slow to run whole.
+run_tsan() {
+  local dir="$1"
+  echo "== tsan: configure + build serve_test, obs_test (${dir}) =="
+  cmake -B "${dir}" -S "${repo}" -DDSPROF_SANITIZE=thread
+  cmake --build "${dir}" -j "${jobs}" --target serve_test obs_test
+  echo "== tsan: serve_test, obs_test =="
+  "${dir}/tests/serve_test"
+  "${dir}/tests/obs_test"
 }
 
 # Stress gate: repeat the file-writing and simulator-pinning tests at full
@@ -368,21 +393,18 @@ run_er_opt_smoke() {
 
 # End-to-end dsprofd smoke gate over a real Unix-domain socket: the streamed
 # snapshot of a live collect run must be byte-identical to the offline
-# er_print -J report of the experiment directory the same run saved. Runs
-# once per ingest mode ($2: direct = queue-free reader-thread folds, queued =
-# every batch through the bounded queue) — the snapshot and the obs
-# accounting cross-check must hold identically in both.
+# er_print -J report of the experiment directory the same run saved, and the
+# two obs self-profiles must agree on event counts.
 run_dsprofd_smoke() {
-  local dir="$1" ingest="${2:-direct}"
-  echo "== dsprofd smoke (--ingest ${ingest}): streamed snapshot vs offline er_print -J =="
+  local dir="$1"
+  echo "== dsprofd smoke: streamed snapshot vs offline er_print -J =="
   cmake --build "${dir}" -j "${jobs}" --target dsprofd dsprof_send er_print
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
   local sock="${tmp}/dsprofd.sock"
 
-  "${dir}/examples/dsprofd" --socket "${sock}" --once --ingest "${ingest}" \
-    >"${tmp}/daemon.log" 2>&1 &
+  "${dir}/examples/dsprofd" --socket "${sock}" --once >"${tmp}/daemon.log" 2>&1 &
   local daemon_pid=$!
   for _ in $(seq 1 100); do
     [[ -S "${sock}" ]] && break
@@ -424,21 +446,6 @@ run_dsprofd_smoke() {
     return 1
   fi
   echo "dsprofd smoke: obs self-profiles agree (folded ${offline_folded} = ${daemon_folded} + ${daemon_dropped} dropped)"
-
-  # Mode check: direct ingest must actually take the queue-free path (the
-  # first batch always can — queue empty, reducer idle), queued must never.
-  local direct_folds
-  direct_folds="$(grep -oE '"direct_folds":[0-9]+' "${tmp}/daemon.log" | head -1 | cut -d: -f2)"
-  direct_folds="${direct_folds:-0}"
-  if [[ "${ingest}" == direct && "${direct_folds}" -eq 0 ]]; then
-    echo "dsprofd smoke FAILED: --ingest direct but no batch took the queue-free path"
-    return 1
-  fi
-  if [[ "${ingest}" == queued && "${direct_folds}" -ne 0 ]]; then
-    echo "dsprofd smoke FAILED: --ingest queued but ${direct_folds} batches folded inline"
-    return 1
-  fi
-  echo "dsprofd smoke: ingest mode ${ingest} honored (direct_folds=${direct_folds})"
 }
 
 case "${mode}" in
@@ -449,8 +456,7 @@ case "${mode}" in
     run_s3verify "${repo}/build"
     run_cli_docs "${repo}/build"
     run_wire_docs
-    run_dsprofd_smoke "${repo}/build" direct
-    run_dsprofd_smoke "${repo}/build" queued
+    run_dsprofd_smoke "${repo}/build"
     run_fleet_smoke "${repo}/build"
     run_er_opt_smoke "${repo}/build"
     run_mpx_smoke "${repo}/build"
@@ -469,13 +475,14 @@ case "${mode}" in
     run_s3verify "${repo}/build"
     run_cli_docs "${repo}/build"
     run_wire_docs
-    run_dsprofd_smoke "${repo}/build" direct
-    run_dsprofd_smoke "${repo}/build" queued
+    run_dsprofd_smoke "${repo}/build"
     run_fleet_smoke "${repo}/build"
     run_er_opt_smoke "${repo}/build"
     run_mpx_smoke "${repo}/build"
     run_bench "${repo}/build"
     run_pass "asan" "${repo}/build-asan" -DDSPROF_SANITIZE=address
+    run_pass "ubsan" "${repo}/build-ubsan" -DDSPROF_SANITIZE=undefined
+    run_tsan "${repo}/build-tsan"
     ;;
   *)
     echo "usage: $0 [--fast|--asan|--bench]" >&2

@@ -512,7 +512,7 @@ const std::vector<Analysis::InstanceRow>& Analysis::instances(size_t sort_metric
   if (!allocations_.empty()) {
     // Name instances the paper's way — allocating function + per-function
     // ordinal in allocation order ("mcf_arena[0]", "mcf_arena[1]", ...);
-    // "alloc[k]" when no site PC was recorded (legacy experiment files).
+    // "alloc[k]" when no site PC was recorded (site PC 0).
     struct Named {
       u64 addr, size, orig;
       std::string name;

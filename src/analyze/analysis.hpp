@@ -10,9 +10,9 @@
 //   (Unidentified)    compiler did not identify the object (temporary)
 //   (Unverifiable)    branch-target info inadequate to validate the trigger
 //
-// Analysis is a lazy facade over the sharded Reduction engine
-// (reduction.hpp): construction only records which experiments to analyze;
-// the single reduction pass runs on first view access (parallel across event
+// Analysis is a lazy facade over the Reduction engine (reduction.hpp):
+// construction only records which experiments to analyze; the single
+// reduction pass runs on first view access (parallel across event
 // shards, controlled by DSPROF_THREADS), and every rendered view is memoized
 // so repeated render_* calls do not re-sort.
 //
@@ -58,10 +58,9 @@ struct AnalysisOptions {
   /// 1 = serial. Any value produces bit-identical results (the reduction
   /// accumulates integer weights).
   unsigned threads = 0;
-  /// Reduction engine; Auto resolves DSPROF_REDUCE_ENGINE (default Radix).
-  /// Baseline is the seed-equivalent std::map reference used by equivalence
-  /// tests and bench/pipeline_throughput.
-  Reduction::Engine engine = Reduction::Engine::Auto;
+  /// Reduction engine: Radix in production. Baseline is the seed-equivalent
+  /// std::map oracle used by equivalence tests and bench/pipeline_throughput.
+  Reduction::Engine engine = Reduction::Engine::Radix;
 };
 
 class Analysis {
@@ -232,7 +231,7 @@ class Analysis {
   /// Hottest allocated object instances (via the allocation log). `name` is
   /// the paper's "mcf_arena[k]" style: the allocating function (from the
   /// recorded allocation-site PC) with a per-function ordinal; "alloc[k]"
-  /// when no site was recorded (legacy experiment files).
+  /// when no site was recorded (site PC 0).
   struct InstanceRow {
     u64 base = 0, size = 0;
     u64 alloc_index = 0;

@@ -33,15 +33,6 @@ enum : u8 {
   kCatUnverifiable = 6,
 };
 
-/// Thread-local partial aggregates for one shard of events: a plain
-/// ReductionResult (the fold target everywhere — shard partials, the merged
-/// offline result, and the IncrementalReducer's live aggregates are the same
-/// shape) plus reused per-event scratch.
-struct Partial {
-  ReductionResult r;
-  std::vector<u32> frames;  // frame function ids, leaf included
-};
-
 /// Per-event attribution outcome tallies (paper §2.3 candidate validation).
 /// Plain integers bumped inside the fold loop — sub-nanosecond next to the
 /// fold itself — and flushed to obs counters once per shard / per fold()
@@ -98,133 +89,6 @@ u32 func_id_for(const sym::SymbolTable& st, u64 pc, u32 unknown_id) {
   return static_cast<u32>(f - st.functions().data());
 }
 
-void add_counts(FlatHashU64Map<MetricCounts>& m, u64 key, size_t metric, u64 w) {
-  m[key][metric] += w;
-}
-
-/// Code-space attribution for one event: PC, function, line, inclusive
-/// functions (recursion-safe) and caller->callee edges from the callstack.
-void attribute_code(ReductionResult& r, std::vector<u32>& frames, const sym::SymbolTable& st,
-                    u32 unknown_id, u64 pc, bool artificial, size_t metric, u64 w,
-                    const experiment::CallstackRef& callstack) {
-  add_counts(r.pc, pc_key(pc, artificial), metric, w);
-  const u32 leaf = func_id_for(st, pc, unknown_id);
-  add_counts(r.func, leaf, metric, w);
-  if (auto line = st.line_for(pc)) add_counts(r.line, *line, metric, w);
-
-  frames.clear();
-  for (u64 site : callstack) frames.push_back(func_id_for(st, site, unknown_id));
-  frames.push_back(leaf);
-
-  // Each function on the stack gets the weight once (recursion-safe).
-  for (size_t i = 0; i < frames.size(); ++i) {
-    bool dup = false;
-    for (size_t j = 0; j < i; ++j) dup |= frames[j] == frames[i];
-    if (!dup) add_counts(r.incl, frames[i], metric, w);
-  }
-  for (size_t i = 0; i + 1 < frames.size(); ++i) {
-    add_counts(r.edge, edge_key(frames[i], frames[i + 1]), metric, w);
-  }
-}
-
-/// Fold one event into the aggregates — the exact attribution pipeline of
-/// the paper's §2.3 (candidate validation against branch targets, the
-/// <Unknown> breakdown of §3.2.5), matching the seed Analysis
-/// event-for-event. Shared verbatim by the offline sharded engine and the
-/// online IncrementalReducer, which is what makes the streamed and offline
-/// views bit-identical by construction.
-void fold_event(ReductionResult& r, std::vector<u32>& frames, const FoldContext& ctx,
-                u32 unknown_id, size_t i, AttrOutcomes& oc) {
-  const EventStore& ev = *ctx.events;
-  const sym::SymbolTable& st = *ctx.symtab;
-
-  const u8 pic = ev.pic_col()[i];
-  const u64 w = ev.weight_col()[i];
-  const u64 delivered_pc = ev.delivered_pc_col()[i];
-  const experiment::CallstackRef stack = ev.callstack(i);
-
-  if (pic == machine::kClockPic) {
-    // Clock-profile sample: code-space only; skid cannot be corrected
-    // (paper §3.2.3 — User CPU shows against unlikely instructions).
-    oc.clock += 1;
-    r.present[kUserCpuMetric] = true;
-    r.total[kUserCpuMetric] += w;
-    attribute_code(r, frames, st, unknown_id, delivered_pc, false, kUserCpuMetric, w, stack);
-    return;
-  }
-
-  const auto metric = static_cast<size_t>(ev.event_col()[i]);
-  r.present[metric] = true;
-  r.total[metric] += w;
-
-  const u8 flags = ev.flags_col()[i];
-  const bool has_candidate = (flags & EventStore::kHasCandidate) != 0;
-  const bool has_ea = (flags & EventStore::kHasEa) != 0;
-  const u64 candidate_pc = ev.candidate_pc_col()[i];
-  const bool backtracked = pic < machine::kNumPics && ctx.backtrack_by_event[metric];
-
-  auto data_bucket = [&](u8 cat, u32 sid) {
-    add_counts(r.data, data_key(cat, sid), metric, w);
-    r.data_total[metric] += w;
-  };
-
-  if (!backtracked || !has_candidate) {
-    // No candidate trigger: attribute code space to the delivered PC; the
-    // data object cannot be determined.
-    oc.no_candidate += 1;
-    attribute_code(r, frames, st, unknown_id, delivered_pc, false, metric, w, stack);
-    data_bucket(kCatUnresolvable, sym::kInvalidType);
-    return;
-  }
-
-  if (!st.has_branch_targets()) {
-    // Cannot validate the candidate (no branch-target info, e.g. STABS).
-    oc.unverifiable += 1;
-    attribute_code(r, frames, st, unknown_id, candidate_pc, false, metric, w, stack);
-    data_bucket(kCatUnverifiable, sym::kInvalidType);
-    return;
-  }
-
-  if (auto target = st.branch_target_in(candidate_pc, delivered_pc)) {
-    // A branch target between the candidate and the delivered PC: the path
-    // to the interrupt is unknown. Attribute to an artificial branch-target
-    // PC (paper §2.3, the `*<branch target>` rows of Figure 4).
-    oc.branch_target += 1;
-    attribute_code(r, frames, st, unknown_id, *target, true, metric, w, stack);
-    data_bucket(kCatUnresolvable, sym::kInvalidType);
-    return;
-  }
-
-  // Validated trigger PC.
-  oc.validated += 1;
-  attribute_code(r, frames, st, unknown_id, candidate_pc, false, metric, w, stack);
-
-  if (!st.hwcprof()) {
-    data_bucket(kCatUnascertainable, sym::kInvalidType);
-    return;
-  }
-  const sym::MemRef* ref = st.memref_for(candidate_pc);
-  if (!ref) {
-    data_bucket(kCatUnspecified, sym::kInvalidType);
-    return;
-  }
-  switch (ref->kind) {
-    case sym::MemRef::Kind::Unidentified:
-      data_bucket(kCatUnidentified, sym::kInvalidType);
-      break;
-    case sym::MemRef::Kind::Scalar:
-      data_bucket(kCatScalars, sym::kInvalidType);
-      break;
-    case sym::MemRef::Kind::StructMember:
-      data_bucket(kCatStruct, ref->aggregate);
-      add_counts(r.member, member_key(ref->aggregate, ref->member), metric, w);
-      break;
-  }
-  if (has_ea) {
-    r.ea_samples.push_back({ev.ea_col()[i], metric, static_cast<double>(w)});
-  }
-}
-
 void merge_map(FlatHashU64Map<MetricCounts>& into, const FlatHashU64Map<MetricCounts>& from) {
   for (const auto& e : from.entries()) {
     MetricCounts& c = into[e.key];
@@ -232,75 +96,9 @@ void merge_map(FlatHashU64Map<MetricCounts>& into, const FlatHashU64Map<MetricCo
   }
 }
 
-void merge_partial(ReductionResult& r, Partial&& p) {
-  for (size_t m = 0; m < kNumMetrics; ++m) {
-    r.present[m] = r.present[m] || p.r.present[m];
-    r.total[m] += p.r.total[m];
-    r.data_total[m] += p.r.data_total[m];
-  }
-  merge_map(r.pc, p.r.pc);
-  merge_map(r.func, p.r.func);
-  merge_map(r.incl, p.r.incl);
-  merge_map(r.edge, p.r.edge);
-  merge_map(r.line, p.r.line);
-  merge_map(r.data, p.r.data);
-  merge_map(r.member, p.r.member);
-  r.ea_samples.insert(r.ea_samples.end(), p.r.ea_samples.begin(), p.r.ea_samples.end());
-}
-
-ReductionResult reduce_sharded(const std::vector<FoldContext>& ctxs, u32 unknown_id,
-                               unsigned threads) {
-  // Global event index space: experiments concatenated in order.
-  std::vector<size_t> prefix{0};
-  for (const auto& c : ctxs) prefix.push_back(prefix.back() + c.events->size());
-  const size_t n = prefix.back();
-
-  const size_t min_shard = 4096;  // don't spin threads for tiny stores
-  size_t nshards = threads;
-  if (nshards > 1 && n / nshards < min_shard) nshards = std::max<size_t>(1, n / min_shard);
-
-  static const obs::SpanName kShardSpan = obs::span_name("reduce.shard");
-  static const obs::Histogram kShardNs = obs::histogram("reduce.shard.fold_ns");
-
-  std::vector<Partial> partials(nshards);
-  auto work = [&](size_t s) {
-    Partial& p = partials[s];
-    const size_t lo = n * s / nshards;
-    const size_t hi = n * (s + 1) / nshards;
-    if (lo >= hi) return;  // empty shard (e.g. every experiment is empty)
-    const obs::ScopedSpan span(kShardSpan);
-    const obs::ScopedTimer timer(kShardNs);
-    AttrOutcomes oc;
-    // Locate the experiment containing `lo`.
-    size_t e = 0;
-    while (prefix[e + 1] <= lo) ++e;
-    for (size_t g = lo; g < hi; ++g) {
-      while (prefix[e + 1] <= g) ++e;
-      fold_event(p.r, p.frames, ctxs[e], unknown_id, g - prefix[e], oc);
-    }
-    oc.flush(hi - lo);
-  };
-
-  if (nshards <= 1) {
-    work(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(nshards);
-    for (size_t s = 0; s < nshards; ++s) pool.emplace_back(work, s);
-    for (auto& t : pool) t.join();
-  }
-
-  static const obs::Histogram kMergeNs = obs::histogram("reduce.merge_ns");
-  const obs::ScopedTimer merge_timer(kMergeNs);
-  ReductionResult r;
-  r.events_reduced = n;
-  for (auto& p : partials) merge_partial(r, std::move(p));
-  return r;
-}
-
 // ---------------------------------------------------------------------------
-// Baseline engine: the seed's std::map/string fold, kept as the reference
-// implementation for equivalence tests and as the "seed-equivalent" mode of
+// Baseline engine: the seed's std::map/string fold, kept as the equivalence
+// oracle for the radix engine and as the "seed-equivalent" mode of
 // bench/pipeline_throughput. Deliberately mirrors the seed's data structures
 // (string-keyed ordered maps, a per-event vector<string> of frame names) so
 // that its cost profile is honest.
@@ -349,7 +147,7 @@ void baseline_attribute_code(BaselineState& st, const sym::SymbolTable& symtab, 
   }
 }
 
-void baseline_fold_event(BaselineState& bs, const FoldContext& ctx, size_t i) {
+void baseline_fold(BaselineState& bs, const FoldContext& ctx, size_t i) {
   const EventStore& ev = *ctx.events;
   const sym::SymbolTable& st = *ctx.symtab;
   const experiment::EventView e = ev[i];
@@ -424,7 +222,7 @@ ReductionResult reduce_baseline(const std::vector<FoldContext>& ctxs, u32 unknow
   size_t n = 0;
   for (const auto& ctx : ctxs) {
     n += ctx.events->size();
-    for (size_t i = 0; i < ctx.events->size(); ++i) baseline_fold_event(bs, ctx, i);
+    for (size_t i = 0; i < ctx.events->size(); ++i) baseline_fold(bs, ctx, i);
   }
 
   // Convert the string-keyed maps into the packed-key result form.
@@ -461,10 +259,11 @@ ReductionResult reduce_baseline(const std::vector<FoldContext>& ctxs, u32 unknow
 // ---------------------------------------------------------------------------
 // Radix engine: batch-level radix partitioning by aggregation key.
 //
-// The hash engine pays, per event, a find_function per callstack frame, a
-// line lookup, candidate validation against the branch-target table and half
-// a dozen hash-map probes. Almost all of that work is a pure function of a
-// small tuple that repeats enormously: the *decision* tuple
+// A per-event fold (the Baseline engine) pays, per event, a find_function
+// per callstack frame, a line lookup, candidate validation against the
+// branch-target table and half a dozen map probes. Almost all of that work
+// is a pure function of a small tuple that repeats enormously: the
+// *decision* tuple
 // (candidate_pc, delivered_pc, pic/event/flags) — a hot loop delivers
 // thousands of events with identical tuples — and the *path* tuple
 // (callstack, attributed leaf). The radix fold partitions each batch into
@@ -476,8 +275,7 @@ ReductionResult reduce_baseline(const std::vector<FoldContext>& ctxs, u32 unknow
 // (decision ⊗ callstack) entries that carry their own accumulators, so the
 // steady-state per-event cost is one cache line plus the column loads.
 // Everything accumulated is a u64 sum, so the result is bit-identical to
-// the hash and baseline engines for any batching, shard count, or thread
-// count.
+// the Baseline engine for any batching, shard count, or thread count.
 
 class RadixFolder {
  public:
@@ -512,7 +310,7 @@ class RadixFolder {
     u64 cand = 0;
     u64 del = 0;
     u32 meta = 0;  // pic | event << 8 | flags << 16
-    // Precomputed attribution (fold_event's answers for this tuple).
+    // Precomputed attribution (the §2.3 pipeline's answers for this tuple).
     u64 pc_key = 0;
     u64 data_key = 0;
     u64 member_key = 0;
@@ -586,8 +384,8 @@ class RadixFolder {
   }
 
   /// The slow path: run the full §2.3 attribution pipeline for one tuple.
-  /// Mirrors fold_event branch for branch; the dense fold then replays the
-  /// cached answers for every event sharing the tuple.
+  /// Mirrors baseline_fold branch for branch; the dense fold then
+  /// replays the cached answers for every event sharing the tuple.
   u32 classify(u64 cand, u64 del, u32 meta) {
     Decision d;
     d.cand = cand;
@@ -651,8 +449,8 @@ class RadixFolder {
               d.has_member = true;
               break;
           }
-          d.emit_ea = has_ea;  // fold_event pushes the EA sample only when
-                               // hwcprof data and a memref are present
+          d.emit_ea = has_ea;  // the EA sample is kept only when hwcprof
+                               // data and a memref are present
         }
       }
     }
@@ -950,10 +748,10 @@ void RadixFolder::fold(ReductionResult& r, const experiment::EventStore& ev, siz
 
 namespace {
 
-/// The radix-engine shard driver: same shard geometry and obs spans as
-/// reduce_sharded, with a RadixFolder per shard rebound at experiment
+/// The radix engine over shards: events split into contiguous shards, one
+/// thread and one RadixFolder per shard, the folder rebound at experiment
 /// boundaries (decisions depend on the experiment's symbols and backtrack
-/// flags).
+/// flags). Shard results merge in shard order through merge_results.
 ReductionResult reduce_radix(const std::vector<FoldContext>& ctxs, u32 unknown_id,
                              unsigned threads) {
   std::vector<size_t> prefix{0};
@@ -967,12 +765,13 @@ ReductionResult reduce_radix(const std::vector<FoldContext>& ctxs, u32 unknown_i
   static const obs::SpanName kShardSpan = obs::span_name("reduce.shard");
   static const obs::Histogram kShardNs = obs::histogram("reduce.shard.fold_ns");
 
-  std::vector<Partial> partials(nshards);
+  std::vector<ReductionResult> shards(nshards);
   auto work = [&](size_t s) {
-    Partial& p = partials[s];
+    ReductionResult& r = shards[s];
     const size_t lo = n * s / nshards;
     const size_t hi = n * (s + 1) / nshards;
-    if (lo >= hi) return;
+    if (lo >= hi) return;  // empty shard (e.g. every experiment is empty)
+    r.events_reduced = hi - lo;
     const obs::ScopedSpan span(kShardSpan);
     const obs::ScopedTimer timer(kShardNs);
     AttrOutcomes oc;
@@ -984,7 +783,7 @@ ReductionResult reduce_radix(const std::vector<FoldContext>& ctxs, u32 unknown_i
       while (prefix[e + 1] <= g) ++e;
       const size_t seg_end = std::min(hi, prefix[e + 1]);
       folder.bind(ctxs[e].symtab, ctxs[e].backtrack_by_event, unknown_id);
-      folder.fold(p.r, *ctxs[e].events, g - prefix[e], seg_end - prefix[e], oc);
+      folder.fold(r, *ctxs[e].events, g - prefix[e], seg_end - prefix[e], oc);
       g = seg_end;
     }
     oc.flush(hi - lo);
@@ -1001,10 +800,10 @@ ReductionResult reduce_radix(const std::vector<FoldContext>& ctxs, u32 unknown_i
 
   static const obs::Histogram kMergeNs = obs::histogram("reduce.merge_ns");
   const obs::ScopedTimer merge_timer(kMergeNs);
-  ReductionResult r;
-  r.events_reduced = n;
-  for (auto& p : partials) merge_partial(r, std::move(p));
-  return r;
+  std::vector<const ReductionResult*> parts;
+  parts.reserve(shards.size());
+  for (const auto& r : shards) parts.push_back(&r);
+  return merge_results(parts);
 }
 
 /// Tally per-metric sample counts for events [begin, end) — clock samples
@@ -1041,19 +840,6 @@ unsigned Reduction::resolve_threads(unsigned requested) {
   return hw == 0 ? 1 : hw;
 }
 
-Reduction::Engine Reduction::resolve_engine(Engine requested) {
-  if (requested != Engine::Auto) return requested;
-  if (const char* env = std::getenv("DSPROF_REDUCE_ENGINE")) {
-    const std::string v(env);
-    if (v == "radix") return Engine::Radix;
-    if (v == "sharded") return Engine::Sharded;
-    if (v == "baseline") return Engine::Baseline;
-    fail("bad DSPROF_REDUCE_ENGINE value: '" + v +
-         "' (expected radix, sharded or baseline)");
-  }
-  return Engine::Radix;
-}
-
 ReductionResult Reduction::run(const std::vector<const Experiment*>& exps,
                                const ReduceOptions& options) {
   DSP_CHECK(!exps.empty(), "no experiments to analyze");
@@ -1063,18 +849,9 @@ ReductionResult Reduction::run(const std::vector<const Experiment*>& exps,
   const sym::SymbolTable& st = exps[0]->image.symtab;
   const u32 unknown_id = static_cast<u32>(st.functions().size());
 
-  ReductionResult r;
-  switch (resolve_engine(options.engine)) {
-    case Engine::Baseline:
-      r = reduce_baseline(ctxs, unknown_id);
-      break;
-    case Engine::Sharded:
-      r = reduce_sharded(ctxs, unknown_id, resolve_threads(options.threads));
-      break;
-    default:
-      r = reduce_radix(ctxs, unknown_id, resolve_threads(options.threads));
-      break;
-  }
+  ReductionResult r = options.engine == Engine::Baseline
+                          ? reduce_baseline(ctxs, unknown_id)
+                          : reduce_radix(ctxs, unknown_id, resolve_threads(options.threads));
 
   r.func_names.reserve(st.functions().size() + 1);
   for (const auto& f : st.functions()) r.func_names.push_back(f.name);

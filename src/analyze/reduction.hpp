@@ -1,4 +1,4 @@
-// Sharded parallel metric reduction over columnar event stores.
+// Parallel metric reduction over columnar event stores.
 //
 // The seed's Analysis constructor folded every event into half a dozen
 // std::maps (string keys, per-event frame-name vectors) — a serial,
@@ -6,41 +6,38 @@
 // it with a single-pass, shardable fold:
 //
 //   * events are partitioned into contiguous shards;
-//   * each shard reduces into thread-local partial aggregates built on flat
-//     hash maps keyed by small integer composites (function ids instead of
+//   * each shard reduces into its own ReductionResult built on flat hash
+//     maps keyed by small integer composites (function ids instead of
 //     strings, packed (pc,artificial) / (caller,callee) / (cat,sid) keys);
-//   * partials accumulate integer weights (u64) — integer addition is
+//   * results accumulate integer weights (u64) — integer addition is
 //     associative and commutative, so the merged result is bit-identical
 //     for ANY thread count (the seed summed the same integral weights in
 //     doubles, exactly representable below 2^53, so results also match the
 //     seed bit-for-bit);
-//   * partials merge pairwise into one ReductionResult; per-event EA samples
-//     concatenate in shard order, preserving the serial event order.
+//   * shard results merge with merge_results — the same merge the dsprofd
+//     fleet view uses — and per-event EA samples concatenate in shard
+//     order, preserving the serial event order.
 //
 // Thread count comes from the DSPROF_THREADS environment knob (default:
 // hardware concurrency; 1 = deterministic serial — which, by the argument
 // above, produces the same bits anyway).
 //
-// Three engines share the shard scaffolding and produce bit-identical
-// results (equivalence- and property-tested in tests/event_store_test.cpp):
+// Two engines produce bit-identical results (equivalence- and property-
+// tested in tests/event_store_test.cpp):
 //
-//   Engine::Radix     the default. Per-event hash-map probes are replaced by
-//                     radix partitioning over the SoA columns: each batch of
-//                     events is first partitioned into dense decision ids
-//                     (unique (candidate_pc, delivered_pc, pic/event/flags)
-//                     tuples — symbol lookups and candidate validation run
-//                     once per unique tuple, not per event) and dense path
-//                     ids (unique (callstack, leaf) pairs), then a tight
-//                     accumulation loop adds weights into per-shard dense
-//                     arrays indexed by those ids. The id arrays expand into
-//                     the hash-keyed ReductionResult once per fold call.
-//   Engine::Sharded   the previous flat-hash fold (one probe per aggregate
-//                     per event), kept as the reference hash engine.
+//   Engine::Radix     the production engine. Per-event hash-map probes are
+//                     replaced by radix partitioning over the SoA columns:
+//                     each batch of events is first partitioned into dense
+//                     decision ids (unique (candidate_pc, delivered_pc,
+//                     pic/event/flags) tuples — symbol lookups and candidate
+//                     validation run once per unique tuple, not per event)
+//                     and dense path ids (unique (callstack, leaf) pairs),
+//                     then a tight accumulation loop adds weights into
+//                     per-shard dense arrays indexed by those ids. The id
+//                     arrays expand into the hash-keyed ReductionResult once
+//                     per fold call.
 //   Engine::Baseline  the seed's serial std::map/string fold verbatim — the
-//                     equivalence reference and benchmark baseline.
-//
-// Engine::Auto resolves DSPROF_REDUCE_ENGINE (radix | sharded | baseline),
-// defaulting to Radix.
+//                     equivalence oracle and benchmark baseline.
 #pragma once
 
 #include <memory>
@@ -111,44 +108,37 @@ struct ReductionResult {
 /// Merge completed reductions into one, as if their event sequences had
 /// been concatenated in part order and reduced offline. Exact: every
 /// aggregate is an integer (u64) sum, so the merge is associative and
-/// commutative per key, and EA samples concatenate in part order just like
-/// the offline shard merge. This is the fleet MergedView primitive — the
-/// cross-session extension of the online-vs-offline bit-identity invariant
-/// (merging N sessions' live aggregates == one offline multi-dir
-/// reduction). All parts must come from the same binary (func_names must
-/// agree); throws dsprof::Error otherwise.
+/// commutative per key, and EA samples concatenate in part order. One merge
+/// serves both scales: Reduction::run's per-shard results, and the fleet
+/// MergedView — the cross-session extension of the online-vs-offline
+/// bit-identity invariant (merging N sessions' live aggregates == one
+/// offline multi-dir reduction). All parts must come from the same binary
+/// (non-empty func_names must agree); throws dsprof::Error otherwise.
 ReductionResult merge_results(const std::vector<const ReductionResult*>& parts);
 
 class Reduction {
  public:
   enum class Engine {
-    Auto,      // DSPROF_REDUCE_ENGINE if set, else Radix
-    Radix,     // radix-partitioned dense fold (default production engine)
-    Sharded,   // flat-hash partial aggregates (reference hash engine)
-    Baseline,  // the seed's serial std::map fold (reference/benchmark)
+    Radix,     // radix-partitioned dense fold (the production engine)
+    Baseline,  // the seed's serial std::map fold (oracle/benchmark)
   };
 
   /// Knobs for one reduction run. `threads` as in resolve_threads (the
   /// Baseline engine is always serial).
   struct ReduceOptions {
     unsigned threads = 0;
-    Engine engine = Engine::Auto;
+    Engine engine = Engine::Radix;
   };
 
   /// Resolve the thread count: `requested` if nonzero, else $DSPROF_THREADS,
   /// else std::thread::hardware_concurrency() (min 1).
   static unsigned resolve_threads(unsigned requested = 0);
 
-  /// Resolve Engine::Auto against $DSPROF_REDUCE_ENGINE (radix | sharded |
-  /// baseline; anything else is an Error), defaulting to Radix. Non-Auto
-  /// engines pass through.
-  static Engine resolve_engine(Engine requested = Engine::Auto);
-
   /// Reduce all events of `exps` (which must share one binary).
   static ReductionResult run(const std::vector<const experiment::Experiment*>& exps,
                              const ReduceOptions& options);
   static ReductionResult run(const std::vector<const experiment::Experiment*>& exps,
-                             unsigned threads = 0, Engine engine = Engine::Auto) {
+                             unsigned threads = 0, Engine engine = Engine::Radix) {
     return run(exps, ReduceOptions{threads, engine});
   }
 };
@@ -185,7 +175,7 @@ class IncrementalReducer {
   IncrementalReducer& operator=(IncrementalReducer&&) noexcept;
 
   /// Fold events [begin, end) of `events` into the live aggregates (via the
-  /// radix folder — bit-identical to every offline engine by construction).
+  /// radix folder — bit-identical to both offline engines by construction).
   /// The store must stay alive (and un-moved) only for the duration of the
   /// call; each call re-derives callstack identities, so stores may come
   /// and go between calls (the dsprofd batch decode path).

@@ -309,7 +309,7 @@ sa::BacktrackAnswer Collector::backtrack(const machine::OverflowDelivery& d) {
 }
 
 void Collector::on_overflow(const machine::OverflowDelivery& d) {
-  // Hot path: append straight into the columnar store. No EventRecord is
+  // Hot path: append straight into the columnar store. No per-event record is
   // materialized and no per-event heap allocation happens — the callstack
   // words are interned into the store's shared arena.
   static const obs::Counter kOverflows = obs::counter("collect.overflows");

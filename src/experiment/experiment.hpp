@@ -4,21 +4,16 @@
 // save()/load() provide the on-disk directory form.
 //
 // Events are held in a columnar EventStore (event_store.hpp): one column per
-// field, callstacks interned into a shared arena. The on-disk events.bin has
-// three layouts: the aligned columnar "DSPG" layout (written by default;
-// every column payload 8-byte aligned so load() can mmap the file and hand
-// out zero-copy column views), the unaligned columnar "DSPF" layout, and the
-// seed's row-oriented "DSPE" layout — load() auto-detects all three, and
-// save(..., FileFormat::...) still writes the older two for compatibility.
-// DSPROF_MMAP=0 disables the zero-copy path (DSPG files are then streamed
-// through the same validation into an owning store).
+// field, callstacks interned into a shared arena. The on-disk events.bin is
+// the aligned columnar "DSPG" layout: every column payload is 8-byte
+// aligned, so load() maps the file and hands out zero-copy column views
+// (MappedFile reads the file into a buffer on hosts that cannot map it).
 //
 // Multiplexed runs (more counters than PIC registers, rotated across time
-// slices) save under sibling magics — "DSPJ"/"DSPI"/"DSPH" — that extend
-// each layout with a per-counter set id, a per-event set column, and a
-// slice table (set -> live cycles, switches). A run that does not multiplex
-// always writes the original magic byte for byte, and loading an original
-// file yields one always-live set — both directions of strict back-compat.
+// slices) save under the sibling magic "DSPJ", which extends the layout
+// with a per-counter set id, a per-event set column, and a slice table
+// (set -> live cycles, switches). A run that does not multiplex writes
+// "DSPG", and loading a "DSPG" file yields one always-live set.
 #pragma once
 
 #include <array>
@@ -50,31 +45,15 @@ struct SliceInfo {
   u64 switches = 0;
 };
 
-/// A materialized (row-form) profile event. The store of record is the
-/// columnar EventStore; this struct remains for the legacy on-disk layout
-/// and for call sites that want an owning copy of one event.
-struct EventRecord {
-  u8 pic = 0;  // 0/1, or machine::kClockPic for clock-profile samples
-  machine::HwEvent event = machine::HwEvent::Cycle_cnt;
-  u64 weight = 0;  // overflow interval: estimated events per sample
-  u64 delivered_pc = 0;
-  bool has_candidate = false;
-  u64 candidate_pc = 0;
-  bool has_ea = false;
-  u64 ea = 0;
-  /// Call-site PCs at delivery, outermost first (for callers/callees and
-  /// inclusive metrics).
-  std::vector<u64> callstack;
-  u64 seq = 0;  // joins with the machine's ground-truth log (tests only)
-  u8 set = 0;   // multiplexed counter set the event was recorded under
-};
-
-/// On-disk events.bin layouts.
-enum class FileFormat {
-  ColumnarAligned,  // current: "DSPG" 8-byte-aligned columns, mmap-able
-  Columnar,         // "DSPF" columns + callstack arena (unaligned)
-  Legacy,           // seed: "DSPE" row-oriented records
-};
+/// The counter-spec list codec shared by the events.bin header and the
+/// dsprofd Hello frame: a u32 count, then per spec the event byte, interval,
+/// backtrack flag, PIC register and (with_set) the counter-set id. The
+/// decoder rejects, with a structured Error, a count above what one run can
+/// record (one spec per PIC register, or per event type when multiplexed)
+/// before reading any spec, and every event byte that names no hardware
+/// event.
+void put_counter_specs(ByteWriter& w, const std::vector<CounterSpec>& specs, bool with_set);
+std::vector<CounterSpec> get_counter_specs(ByteReader& r, bool with_set);
 
 struct Experiment {
   std::string log;  // human-readable collection log
@@ -87,13 +66,13 @@ struct Experiment {
 
   EventStore events;
   /// Heap allocations in order — for the instance view. `site_pc` names the
-  /// allocation call site ("DSPG" files carry it; older layouts load as 0).
+  /// allocation call site.
   std::vector<machine::AllocRecord> allocations;
 
   /// Slice table of a multiplexed run, indexed by counter set. Empty means
   /// the run did not multiplex: one set, live for all of total_cycles —
-  /// exactly what every pre-multiplexing experiment file loads as, so the
-  /// renormalizing reduction scales by 1.0 bit-identically.
+  /// exactly what a "DSPG" file loads as, so the renormalizing reduction
+  /// scales by 1.0 bit-identically.
   std::vector<SliceInfo> slices;
 
   bool multiplexed() const { return slices.size() > 1; }
@@ -110,17 +89,10 @@ struct Experiment {
     return static_cast<double>(cycles) / static_cast<double>(clock_hz);
   }
 
-  /// Append a materialized record into the columnar store.
-  void add_event(const EventRecord& e) {
-    events.append(e.pic, e.event, e.weight, e.delivered_pc, e.has_candidate, e.candidate_pc,
-                  e.has_ea, e.ea, e.callstack.data(), e.callstack.size(), e.seq, e.set);
-  }
-
   /// Write the experiment directory (log.txt, loadobjects.bin, events.bin).
-  void save(const std::string& dir, FileFormat format = FileFormat::ColumnarAligned) const;
-  /// Read an experiment directory; auto-detects the events.bin layout.
-  /// "DSPG" files are mmap'd for zero-copy column views unless DSPROF_MMAP=0
-  /// (or the platform cannot map, in which case the stream loader runs).
+  void save(const std::string& dir) const;
+  /// Read an experiment directory. The events are a zero-copy view into the
+  /// mapped events.bin (read-only: EventStore::is_mapped()).
   static Experiment load(const std::string& dir);
 };
 

@@ -45,10 +45,6 @@ const obs::Histogram& h_reduce_ns() {
   static const obs::Histogram h = obs::histogram("serve.reduce.fold_ns");
   return h;
 }
-const obs::Counter& c_direct_folds() {
-  static const obs::Counter c = obs::counter("serve.direct_folds");
-  return c;
-}
 const obs::Counter& c_merged_snapshots() {
   static const obs::Counter c = obs::counter("serve.snapshots.merged");
   return c;
@@ -60,13 +56,6 @@ const obs::Counter& c_sessions_evicted() {
 const obs::Gauge& g_sessions_retained() {
   static const obs::Gauge g = obs::gauge("serve.sessions.retained");
   return g;
-}
-const obs::SpanName& fold_span() {
-  // Shared by the reducer thread and the reader's queue-free path: either
-  // way a fold is a "serve.fold" span, so span-based gates see one fold per
-  // batch regardless of which thread ran it.
-  static const obs::SpanName s = obs::span_name("serve.fold");
-  return s;
 }
 
 Status send_frame(Transport& t, FrameType type, const std::vector<u8>& payload) {
@@ -92,7 +81,6 @@ std::string ServerStats::to_json() const {
   field("max_queue_depth", max_queue_depth);
   field("reduce_calls", reduce_calls);
   field("reduce_ns", reduce_ns);
-  field("direct_folds", direct_folds);
   field("sessions_retained", sessions_retained);
   field("sessions_evicted", sessions_evicted);
   // Rolling-window self-profile: what the daemon did over the trailing
@@ -164,7 +152,6 @@ struct Server::Session {
   u64 max_queue_depth = 0;
   u64 reduce_calls = 0;
   u64 reduce_ns = 0;
-  u64 direct_folds = 0;
 
   bool finalized = false;
   std::thread reader_thread;
@@ -262,46 +249,6 @@ void Server::reader_main(Session& s) {
                                   " events exceeds per-batch cap");
         const u64 n = batch.size();
         std::unique_lock<std::mutex> lock(s.qmu);
-        // Queue-free fast path: the reducer is idle and nothing is queued,
-        // so fold right here in the reader thread and skip the queue hop
-        // entirely. Holding `reducing` keeps the drain barrier honest; the
-        // reader is the only enqueuer, so the queue stays empty until the
-        // fold finishes and fold order is preserved. The before_reduce test
-        // seam forces the queued path — overload tests rely on stalling the
-        // reducer thread while the reader keeps enqueuing.
-        if (opt_.direct_fold && !opt_.before_reduce && s.queue.empty() && !s.reducing) {
-          s.events_in += n;
-          s.batches_in += 1;
-          s.reducing = true;
-          lock.unlock();
-          c_events_in().add(n);
-          c_batches_in().add();
-          const u64 t0 = now_ns();
-          u64 folded = n;
-          {
-            const obs::ScopedSpan span(fold_span());
-            try {
-              s.reducer->fold(batch, 0, batch.size());
-            } catch (const Error&) {
-              // Same defensive stance as the reducer thread: a fold
-              // invariant accounts the batch as dropped, never kills the
-              // daemon (fold bumps its counter only on success).
-              folded = 0;
-            }
-          }
-          const u64 t1 = now_ns();
-          h_reduce_ns().record(t1 - t0);
-          lock.lock();
-          s.reducing = false;
-          if (folded != 0) s.events_reduced += folded;
-          else s.events_dropped += n;
-          s.reduce_calls += 1;
-          s.reduce_ns += t1 - t0;
-          s.direct_folds += 1;
-          c_direct_folds().add();
-          if (s.queue.empty()) s.drain_cv.notify_all();
-          return {};
-        }
         if (s.queue.size() >= opt_.max_queued_batches) {
           if (opt_.overload == ServerOptions::Overload::DropOldest) {
             // Evict the oldest queued batch; its events are accounted as
@@ -454,12 +401,13 @@ void Server::reducer_main(Session& s) {
     if (opt_.before_reduce) opt_.before_reduce(s.id);
     const u64 t0 = now_ns();
     h_queue_wait_ns().record(t0 - enq_ns);
-    const obs::ScopedSpan span(fold_span());
+    static const obs::SpanName kFoldSpan = obs::span_name("serve.fold");
+    const obs::ScopedSpan span(kFoldSpan);
     u64 folded = batch.size();
     try {
       s.reducer->fold(batch, 0, batch.size());
     } catch (const Error&) {
-      // Defensive: EventStore::deserialize already validated the batch, but
+      // Defensive: deserialize_aligned already validated the batch, but
       // a long-lived daemon must not die on a fold invariant. The batch is
       // accounted as dropped (fold bumps its counter only on success), so
       // events_in == events_reduced + events_dropped still holds.
@@ -634,7 +582,6 @@ ServerStats Server::stats_locked() const {
     st.max_queue_depth = std::max(st.max_queue_depth, s->max_queue_depth);
     st.reduce_calls += s->reduce_calls;
     st.reduce_ns += s->reduce_ns;
-    st.direct_folds += s->direct_folds;
   }
   st.sessions_evicted = sessions_evicted_;
   for (const auto& s : sessions_)

@@ -14,15 +14,6 @@
 //            central invariant; tests/serve_test.cpp proves it property-
 //            style, tests/integration_test.cpp on the MCF workload).
 //
-// Queue-free fast path: when `direct_fold` is on (the default) and the
-// reducer keeps up — queue empty, reducer idle, no before_reduce seam
-// installed — the reader folds a decoded batch inline instead of paying the
-// enqueue/wake/dequeue hop. The `reducing` flag is held while it folds, so
-// the reducer thread, drain barrier and accounting are untouched; under
-// backlog the batch takes the queued path with the exact same overload and
-// drop accounting as before. Folds are still strictly ordered (one fold at
-// a time per session), so aggregates remain bit-identical either way.
-//
 // Overload: the batch queue holds at most `max_queued_batches`. When the
 // reducer falls behind, the policy decides:
 //
@@ -83,11 +74,6 @@ struct ServerOptions {
   /// Reject event batches larger than this many events (0 = no cap).
   size_t max_batch_events = 0;
 
-  /// Fold batches inline in the reader thread when the reducer is idle and
-  /// the queue is empty (see the header comment). Off forces every batch
-  /// through the bounded queue — the pre-fast-path behavior.
-  bool direct_fold = true;
-
   /// Test seam: called by the reducer thread before each fold. Stalling
   /// here makes the queue overflow deterministically (overload tests).
   std::function<void(u64 session_id)> before_reduce;
@@ -119,7 +105,6 @@ struct ServerStats {
   u64 max_queue_depth = 0;
   u64 reduce_calls = 0;
   u64 reduce_ns = 0;  // cumulative wall time inside fold()
-  u64 direct_folds = 0;  // batches folded inline by the reader (queue-free)
   u64 sessions_retained = 0;  // completed sessions still mergeable
   u64 sessions_evicted = 0;   // completed sessions freed past the cap
 

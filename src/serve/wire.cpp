@@ -119,14 +119,7 @@ std::vector<u8> encode_hello(const HelloPayload& h) {
   ByteWriter w;
   w.put_string(h.client_name);
   h.image.serialize(w);
-  w.put_u32(static_cast<u32>(h.counters.size()));
-  for (const auto& c : h.counters) {
-    w.put_u8(static_cast<u8>(c.event));
-    w.put_u64(c.interval);
-    w.put_u8(c.backtrack ? 1 : 0);
-    w.put_u8(static_cast<u8>(c.pic));
-    w.put_u8(static_cast<u8>(c.set));
-  }
+  experiment::put_counter_specs(w, h.counters, /*with_set=*/true);
   w.put_u64(h.clock_interval);
   w.put_u64(h.clock_hz);
   w.put_u64(h.page_size);
@@ -146,18 +139,9 @@ Status decode_hello(const std::vector<u8>& payload, HelloPayload& out) {
     ByteReader r(payload);
     out.client_name = r.get_string();
     out.image = sym::Image::deserialize(r);
-    const u32 n = r.get_u32();
-    out.counters.clear();
-    out.counters.reserve(n);
-    for (u32 i = 0; i < n; ++i) {
-      experiment::CounterSpec c;
-      c.event = static_cast<machine::HwEvent>(r.get_u8());
-      c.interval = r.get_u64();
-      c.backtrack = r.get_u8() != 0;
-      c.pic = r.get_u8();
-      c.set = r.get_u8();
-      out.counters.push_back(c);
-    }
+    // The events.bin header's decoder: the same count bound and event-id
+    // check, so a hostile count cannot drive allocation.
+    out.counters = experiment::get_counter_specs(r, /*with_set=*/true);
     out.clock_interval = r.get_u64();
     out.clock_hz = r.get_u64();
     out.page_size = r.get_u64();
@@ -215,8 +199,8 @@ Status decode_event_batch(std::vector<u8>&& payload, experiment::EventStore& out
     // column views point straight at it. The aligned layout guarantees the
     // u64/u32 columns sit on 8-byte offsets, and a heap vector's data() is
     // at least 8-aligned, so the views are properly aligned. Validation
-    // (column-length agreement, every callstack handle) runs inside
-    // deserialize_aligned before the views are adopted.
+    // (column-length agreement, every callstack handle and event id) runs
+    // inside deserialize_aligned before the views are adopted.
     const auto keep = std::make_shared<const std::vector<u8>>(std::move(payload));
     ByteReader r(*keep);
     out = experiment::EventStore::deserialize_aligned(r, keep, /*with_set=*/true);

@@ -162,9 +162,10 @@ std::vector<u8> encode_event_batch(const experiment::EventStore& events);
 std::vector<u8> encode_event_batch(const experiment::EventStore& events, size_t begin,
                                    size_t end);
 /// Zero-copy decode: the payload is moved into the store as its backing
-/// storage and the columns become views into it — no per-event work. The
-/// result is frozen and mapped (fold/serialize fine, append an error),
-/// which is all the daemon needs for fold-and-discard.
+/// storage and the columns become views into it — no copy, only the
+/// validation pass over handles and event ids. The result is mapped
+/// (fold/serialize fine, append an error), which is all the daemon needs
+/// for fold-and-discard.
 Status decode_event_batch(std::vector<u8>&& payload, experiment::EventStore& out);
 
 std::vector<u8> encode_allocs(const std::vector<machine::AllocRecord>& allocs);

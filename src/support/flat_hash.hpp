@@ -1,6 +1,7 @@
-// Open-addressing hash map from u64 keys to arbitrary values, used by the
-// analyzer's sharded reduction engine (and anywhere else a hot aggregation
-// loop would otherwise pay std::map's node allocations and pointer chasing).
+// Open-addressing hash map from u64 keys to arbitrary values, used for the
+// analyzer's ReductionResult aggregates and the radix fold's caches (and
+// anywhere else a hot aggregation loop would otherwise pay std::map's node
+// allocations and pointer chasing).
 //
 // Design: entries live densely in a vector (stable iteration in insertion
 // order, cache-friendly merge walks); a separate power-of-two slot table of

@@ -1,12 +1,11 @@
-// Columnar EventStore: callstack-arena interning, save/load round trips in
-// all three on-disk layouts (including the zero-copy mmap'd DSPG path),
-// and bit-identical determinism of the reduction engines — radix, sharded,
-// and the seed-equivalent Baseline — across thread counts, random stores,
-// and the mapped-vs-streamed loaders.
+// Columnar EventStore: callstack-arena interning, save/load round trips of
+// the zero-copy DSPG/DSPJ layouts, corruption hardening of every decode
+// path, and bit-identical determinism of the radix reduction engine against
+// the seed-equivalent Baseline oracle across thread counts, random stores,
+// and mapped-vs-streamed decodes.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
+#include <functional>
 #include <random>
 
 #include "analyze/reports.hpp"
@@ -150,13 +149,21 @@ TEST(EventStore, ViewsMaterializeEveryField) {
   EXPECT_EQ(n, 2u);
 }
 
+/// Decode aligned store bytes the way dsprofd decodes a frame payload: a
+/// zero-copy view kept alive by the shared buffer.
+EventStore decode_payload(std::vector<u8> bytes) {
+  const auto keep = std::make_shared<const std::vector<u8>>(std::move(bytes));
+  ByteReader r(*keep);
+  return EventStore::deserialize_aligned(r, keep);
+}
+
 TEST(EventStore, SerializeRoundTripPreservesEverything) {
   const std::vector<u64> a = {1, 2, 3}, b = {9};
   EventStore s = make_store({a, b, a, {}, b});
   ByteWriter w;
-  s.serialize(w);
-  ByteReader r(w.bytes());
-  const EventStore back = EventStore::deserialize(r);
+  s.serialize_aligned(w);
+  const EventStore back = decode_payload(w.take());
+  ASSERT_TRUE(back.is_mapped());
   ASSERT_EQ(back.size(), s.size());
   EXPECT_EQ(back.unique_callstacks(), s.unique_callstacks());
   EXPECT_EQ(back.arena_words(), s.arena_words());
@@ -173,88 +180,120 @@ TEST(EventStore, SerializeRoundTripPreservesEverything) {
     EXPECT_TRUE(x.callstack == y.callstack);
     EXPECT_EQ(x.seq, y.seq);
   }
-  // A deserialized store keeps interning: appending a known stack reuses it.
-  EventStore back2 = back;
-  back2.append(0, HwEvent::EC_rd_miss, 1, 1, false, 0, false, 0, a.data(), a.size(), 99);
-  EXPECT_EQ(back2.unique_callstacks(), back.unique_callstacks());
-  EXPECT_EQ(back2.arena_words(), back.arena_words());
+  // A decoded store is read-only; copied into a live store it interns
+  // again, so appending a known stack reuses it.
+  EventStore live;
+  live.append_store(back);
+  live.append(0, HwEvent::EC_rd_miss, 1, 1, false, 0, false, 0, a.data(), a.size(), 99);
+  EXPECT_EQ(live.unique_callstacks(), back.unique_callstacks());
+  EXPECT_EQ(live.arena_words(), back.arena_words());
 }
 
 TEST(EventStore, TruncatedStreamIsRejected) {
   EventStore s = make_store({{1, 2}, {3}});
   ByteWriter w;
-  s.serialize(w);
-  std::vector<u8> bytes = w.bytes();
+  s.serialize_aligned(w);
+  std::vector<u8> bytes = w.take();
   bytes.resize(bytes.size() / 2);
-  ByteReader r(bytes);
-  EXPECT_THROW(EventStore::deserialize(r), Error);
+  EXPECT_THROW(decode_payload(std::move(bytes)), Error);
 }
 
 // --- corruption robustness ---------------------------------------------------
-// A truncated or corrupt experiment directory must surface as an Error that
-// names the offending file — never as UB, an OOM-sized allocation, or an
-// uncontextualized bounds failure.
+// A truncated or corrupt store or experiment directory must surface as an
+// Error (naming the offending file, for a directory) — never as UB, an
+// OOM-sized allocation, or an uncontextualized bounds failure.
 
+/// Hand-written aligned columns (count, pad to 8, raw bytes — the
+/// serialize_aligned layout), so hostile values can be injected.
 template <typename T>
-void put_col(ByteWriter& w, const std::vector<T>& col) {
+void put_aligned_col(ByteWriter& w, const std::vector<T>& col) {
   w.put_u64(col.size());
-  w.put_blob(col.data(), col.size() * sizeof(T));
+  w.align_to(8);
+  w.put_raw(col.data(), col.size() * sizeof(T));
+}
+
+/// One event, every column valid except the callstack handle
+/// {cs_offset, cs_len} over a one-word arena.
+void write_one_event(ByteWriter& w, u64 cs_offset, u32 cs_len) {
+  put_aligned_col<u8>(w, {0});          // pic
+  put_aligned_col<u8>(w, {3});          // event
+  put_aligned_col<u64>(w, {1});         // weight
+  put_aligned_col<u64>(w, {0x1000});    // delivered_pc
+  put_aligned_col<u8>(w, {0});          // flags
+  put_aligned_col<u64>(w, {0});         // candidate_pc
+  put_aligned_col<u64>(w, {0});         // ea
+  put_aligned_col<u64>(w, {0});         // seq
+  put_aligned_col<u64>(w, {cs_offset});  // cs_offset
+  put_aligned_col<u32>(w, {cs_len});    // cs_len
+  put_aligned_col<u64>(w, {0xdead});    // arena (1 word)
+}
+
+void write_out_of_range_handle(ByteWriter& w) { write_one_event(w, 4, 2); }
+
+// offset + len wraps past 2^64: the overflow-safe form must still reject.
+void write_wrapping_handle(ByteWriter& w) { write_one_event(w, ~u64{0}, 8); }
+
+void write_inconsistent_lengths(ByteWriter& w) {
+  put_aligned_col<u8>(w, {0, 0});  // pic: two rows
+  put_aligned_col<u8>(w, {3});     // every other column: one row
+  put_aligned_col<u64>(w, {1});
+  put_aligned_col<u64>(w, {0x1000});
+  put_aligned_col<u8>(w, {0});
+  put_aligned_col<u64>(w, {0});
+  put_aligned_col<u64>(w, {0});
+  put_aligned_col<u64>(w, {0});
+  put_aligned_col<u64>(w, {0});
+  put_aligned_col<u32>(w, {0});
+  put_aligned_col<u64>(w, {});
+}
+
+/// The bytes as a wire frame payload (heap buffer).
+void expect_payload_rejects(const std::function<void(ByteWriter&)>& write_columns) {
+  ByteWriter w;
+  write_columns(w);
+  EXPECT_THROW(decode_payload(w.take()), Error);
+}
+
+/// The bytes through the real mmap path via a temp file.
+void expect_mapped_rejects(const std::function<void(ByteWriter&)>& write_columns) {
+  ByteWriter w;
+  write_columns(w);
+  const testfix::TempDir tmp;
+  const std::string path = tmp / "hostile.bin";
+  write_file(path, w.bytes());
+  const auto mf = MappedFile::open(path);
+  ByteReader r(mf->data(), mf->size());
+  EXPECT_THROW(EventStore::deserialize_aligned(r, mf), Error);
 }
 
 TEST(EventStoreCorruption, OutOfRangeArenaHandleIsRejected) {
-  ByteWriter w;
-  put_col<u8>(w, {0});        // pic
-  put_col<u8>(w, {3});        // event
-  put_col<u64>(w, {1});       // weight
-  put_col<u64>(w, {0x1000});  // delivered_pc
-  put_col<u8>(w, {0});        // flags
-  put_col<u64>(w, {0});       // candidate_pc
-  put_col<u64>(w, {0});       // ea
-  put_col<u64>(w, {0});       // seq
-  put_col<u64>(w, {4});       // cs_offset: outside the 1-word arena below
-  put_col<u32>(w, {2});       // cs_len
-  put_col<u64>(w, {0xdead});  // arena (1 word)
-  ByteReader r(w.bytes());
-  EXPECT_THROW(EventStore::deserialize(r), Error);
+  expect_payload_rejects(write_out_of_range_handle);
 }
 
 TEST(EventStoreCorruption, WrappingArenaHandleIsRejected) {
-  // offset + len wraps past 2^64: the overflow-safe form must still reject.
-  ByteWriter w;
-  put_col<u8>(w, {0});
-  put_col<u8>(w, {3});
-  put_col<u64>(w, {1});
-  put_col<u64>(w, {0x1000});
-  put_col<u8>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u64>(w, {~u64{0}});  // cs_offset near 2^64
-  put_col<u32>(w, {8});        // cs_len: offset + len wraps
-  put_col<u64>(w, {0xdead});
-  ByteReader r(w.bytes());
-  EXPECT_THROW(EventStore::deserialize(r), Error);
+  expect_payload_rejects(write_wrapping_handle);
 }
 
 TEST(EventStoreCorruption, InconsistentColumnLengthsAreRejected) {
-  ByteWriter w;
-  put_col<u8>(w, {0, 0});  // pic: two rows
-  put_col<u8>(w, {3});     // every other column: one row
-  put_col<u64>(w, {1});
-  put_col<u64>(w, {0x1000});
-  put_col<u8>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u64>(w, {0});
-  put_col<u32>(w, {0});
-  put_col<u64>(w, {});
-  ByteReader r(w.bytes());
-  EXPECT_THROW(EventStore::deserialize(r), Error);
+  expect_payload_rejects(write_inconsistent_lengths);
+}
+
+TEST(AlignedCorruption2, OutOfRangeArenaHandleIsRejectedByMappedValidation) {
+  expect_mapped_rejects(write_out_of_range_handle);
+}
+
+TEST(AlignedCorruption2, WrappingArenaHandleIsRejectedByMappedValidation) {
+  expect_mapped_rejects(write_wrapping_handle);
+}
+
+TEST(AlignedCorruption2, InconsistentColumnLengthsAreRejectedByMappedValidation) {
+  expect_mapped_rejects(write_inconsistent_lengths);
 }
 
 class ExperimentCorruption : public ::testing::Test {
  protected:
+  /// A one-function experiment with three events and no counters: a
+  /// "DSPG" events.bin.
   static Experiment tiny_experiment() {
     scc::Module m;
     scc::Function* main = m.add_function("main");
@@ -269,13 +308,22 @@ class ExperimentCorruption : public ::testing::Test {
     return ex;
   }
 
+  /// tiny_experiment() as a multiplexed run — two counter sets and a slice
+  /// table: a "DSPJ" events.bin.
+  static Experiment tiny_multiplexed() {
+    Experiment ex = tiny_experiment();
+    ex.counters = {{HwEvent::EC_rd_miss, 97, true, 0, 0}, {HwEvent::DTLB_miss, 101, false, 0, 1}};
+    ex.slices = {{600, 3}, {400, 2}};
+    return ex;
+  }
+
   /// Save `ex`, apply `mutate` to the bytes of `file`, and expect load() to
   /// throw an Error whose message names the file and the directory.
-  static void expect_corrupt(const Experiment& ex, FileFormat fmt, const char* file,
+  static void expect_corrupt(const Experiment& ex, const char* file,
                              const std::function<void(std::vector<u8>&)>& mutate) {
     const testfix::TempDir tmp;
     const std::string dir = tmp / "exp";
-    ex.save(dir, fmt);
+    ex.save(dir);
     std::vector<u8> bytes = read_file(dir + "/" + file);
     mutate(bytes);
     write_file(dir + "/" + file, bytes);
@@ -290,67 +338,46 @@ class ExperimentCorruption : public ::testing::Test {
   }
 };
 
+// ExperimentCorruption mutates the multiplexed "DSPJ" layout;
+// AlignedCorruption below mutates "DSPG".
+
 TEST_F(ExperimentCorruption, BadMagicIsRejected) {
-  expect_corrupt(tiny_experiment(), FileFormat::Columnar, "events.bin",
-                 [](std::vector<u8>& b) { b[0] ^= 0xFF; });
+  expect_corrupt(tiny_multiplexed(), "events.bin", [](std::vector<u8>& b) { b[0] ^= 0xFF; });
 }
 
 TEST_F(ExperimentCorruption, TruncatedHeaderIsRejected) {
-  expect_corrupt(tiny_experiment(), FileFormat::Columnar, "events.bin",
-                 [](std::vector<u8>& b) { b.resize(6); });
+  expect_corrupt(tiny_multiplexed(), "events.bin", [](std::vector<u8>& b) { b.resize(6); });
 }
 
 TEST_F(ExperimentCorruption, ImplausibleCounterCountIsRejected) {
   // The 32-bit counter count sits right after the magic; a huge value must be
   // rejected by the plausibility check, not drive allocation.
-  for (const FileFormat fmt : {FileFormat::Columnar, FileFormat::Legacy}) {
-    expect_corrupt(tiny_experiment(), fmt, "events.bin", [](std::vector<u8>& b) {
-      b[4] = b[5] = b[6] = b[7] = 0xFF;
-    });
-  }
+  expect_corrupt(tiny_multiplexed(), "events.bin",
+                 [](std::vector<u8>& b) { b[4] = b[5] = b[6] = b[7] = 0xFF; });
 }
 
 TEST_F(ExperimentCorruption, TruncatedColumnIsRejected) {
-  expect_corrupt(tiny_experiment(), FileFormat::Columnar, "events.bin",
+  expect_corrupt(tiny_multiplexed(), "events.bin",
                  [](std::vector<u8>& b) { b.resize(b.size() * 3 / 4); });
-}
-
-TEST_F(ExperimentCorruption, TruncatedLegacyEventsAreRejected) {
-  expect_corrupt(tiny_experiment(), FileFormat::Legacy, "events.bin",
-                 [](std::vector<u8>& b) { b.resize(b.size() * 3 / 4); });
-}
-
-TEST_F(ExperimentCorruption, HugeLegacyEventCountIsRejectedBeforeAllocation) {
-  // Header with zero counters is 52 bytes; the legacy event count follows at
-  // offset 56. A count far beyond the bytes present must fail the
-  // min-record-size plausibility check (and must not reserve gigabytes).
-  expect_corrupt(tiny_experiment(), FileFormat::Legacy, "events.bin",
-                 [](std::vector<u8>& b) {
-                   ASSERT_GE(b.size(), 60u);
-                   b[56] = 0xFF;
-                   b[57] = 0xFF;
-                   b[58] = 0xFF;
-                   b[59] = 0x7F;
-                 });
 }
 
 TEST_F(ExperimentCorruption, TrailingBytesAfterTrailerAreRejected) {
-  expect_corrupt(tiny_experiment(), FileFormat::Columnar, "events.bin",
-                 [](std::vector<u8>& b) { b.push_back(0); });
+  expect_corrupt(tiny_multiplexed(), "events.bin", [](std::vector<u8>& b) { b.push_back(0); });
 }
 
 TEST_F(ExperimentCorruption, CorruptLoadobjectsIsRejectedWithContext) {
-  expect_corrupt(tiny_experiment(), FileFormat::Columnar, "loadobjects.bin",
+  expect_corrupt(tiny_multiplexed(), "loadobjects.bin",
                  [](std::vector<u8>& b) { b.resize(b.size() / 2); });
 }
 
 TEST_F(ExperimentCorruption, BothFormatsStillRoundTripAfterHardening) {
-  const Experiment ex = tiny_experiment();
   const testfix::TempDir tmp;
-  for (const FileFormat fmt : {FileFormat::Columnar, FileFormat::Legacy}) {
+  for (const Experiment& ex : {tiny_experiment(), tiny_multiplexed()}) {
     const std::string dir = tmp / "exp";
-    ex.save(dir, fmt);
+    ex.save(dir);
     const Experiment back = Experiment::load(dir);
+    EXPECT_EQ(back.multiplexed(), ex.multiplexed());
+    ASSERT_EQ(back.counters.size(), ex.counters.size());
     ASSERT_EQ(back.events.size(), ex.events.size());
     for (size_t i = 0; i < ex.events.size(); ++i) {
       EXPECT_TRUE(back.events.callstack(i) == ex.events.callstack(i));
@@ -358,171 +385,87 @@ TEST_F(ExperimentCorruption, BothFormatsStillRoundTripAfterHardening) {
   }
 }
 
-// --- corruption hardening over the zero-copy aligned layout ------------------
-// Every mutation above must also be rejected by the DSPG path — both by the
-// mmap'd view validation (DSPROF_MMAP unset) and by the stream fallback
-// (DSPROF_MMAP=0). RAII env guard so a failing assertion cannot leak the
-// override into later tests.
+// --- corruption hardening over the plain "DSPG" layout -----------------------
 
-class ScopedMmapEnv {
- public:
-  explicit ScopedMmapEnv(const char* value) {
-    const char* old = std::getenv("DSPROF_MMAP");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value == nullptr) unsetenv("DSPROF_MMAP");
-    else setenv("DSPROF_MMAP", value, 1);
-  }
-  ~ScopedMmapEnv() {
-    if (had_old_) setenv("DSPROF_MMAP", old_.c_str(), 1);
-    else unsetenv("DSPROF_MMAP");
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
-class AlignedCorruption : public ExperimentCorruption {
- protected:
-  static void expect_corrupt_both_loaders(
-      const char* file, const std::function<void(std::vector<u8>&)>& mutate) {
-    for (const char* mm : {static_cast<const char*>(nullptr), "0"}) {
-      const ScopedMmapEnv env(mm);
-      expect_corrupt(tiny_experiment(), FileFormat::ColumnarAligned, file, mutate);
-    }
-  }
-};
+using AlignedCorruption = ExperimentCorruption;
 
 TEST_F(AlignedCorruption, BadMagicIsRejected) {
-  expect_corrupt_both_loaders("events.bin", [](std::vector<u8>& b) { b[0] ^= 0xFF; });
+  expect_corrupt(tiny_experiment(), "events.bin", [](std::vector<u8>& b) { b[0] ^= 0xFF; });
 }
 
 TEST_F(AlignedCorruption, TruncatedHeaderIsRejected) {
-  expect_corrupt_both_loaders("events.bin", [](std::vector<u8>& b) { b.resize(6); });
+  expect_corrupt(tiny_experiment(), "events.bin", [](std::vector<u8>& b) { b.resize(6); });
 }
 
 TEST_F(AlignedCorruption, ImplausibleCounterCountIsRejected) {
-  expect_corrupt_both_loaders("events.bin", [](std::vector<u8>& b) {
-    b[4] = b[5] = b[6] = b[7] = 0xFF;
-  });
+  expect_corrupt(tiny_experiment(), "events.bin",
+                 [](std::vector<u8>& b) { b[4] = b[5] = b[6] = b[7] = 0xFF; });
 }
 
 TEST_F(AlignedCorruption, TruncatedColumnIsRejected) {
-  expect_corrupt_both_loaders("events.bin",
-                              [](std::vector<u8>& b) { b.resize(b.size() * 3 / 4); });
+  expect_corrupt(tiny_experiment(), "events.bin",
+                 [](std::vector<u8>& b) { b.resize(b.size() * 3 / 4); });
 }
 
+// Header with zero counters: 4 (magic) + 4 (count) + 48 = 56 bytes. The
+// event columns follow, each a u64 count padded to 8 and then its values.
+constexpr size_t kPicColumnAt = 56;
+
 TEST_F(AlignedCorruption, HugeColumnCountIsRejectedBeforeAllocation) {
-  // The first aligned column count sits right after the header; a count far
-  // beyond the bytes present must fail the overflow-safe per-column bound
-  // (count <= remaining / sizeof(T)), not drive a huge allocation or an
-  // out-of-bounds view.
-  expect_corrupt_both_loaders("events.bin", [](std::vector<u8>& b) {
-    // Header with zero counters is 4 (magic) + 4 (count) + 48 = 56 bytes;
-    // the pic column count follows.
-    ASSERT_GE(b.size(), 64u);
-    for (size_t i = 56; i < 64; ++i) b[i] = 0xFF;
+  // A pic column count far beyond the bytes present must fail the
+  // overflow-safe per-column bound (count <= remaining / sizeof(T)), not
+  // drive a huge allocation or an out-of-bounds view.
+  expect_corrupt(tiny_experiment(), "events.bin", [](std::vector<u8>& b) {
+    ASSERT_GE(b.size(), kPicColumnAt + 8);
+    for (size_t i = kPicColumnAt; i < kPicColumnAt + 8; ++i) b[i] = 0xFF;
+  });
+}
+
+TEST_F(AlignedCorruption, CounterEventIdOutOfRangeIsRejected) {
+  // A counter spec's event byte indexes per-metric arrays in Analysis; one
+  // past the last hardware event must be rejected at load.
+  Experiment ex = tiny_experiment();
+  ex.counters = {{HwEvent::EC_rd_miss, 97, true, 0, 0}};
+  expect_corrupt(ex, "events.bin", [](std::vector<u8>& b) {
+    ASSERT_EQ(b[8], static_cast<u8>(HwEvent::EC_rd_miss));  // after magic + count
+    b[8] = 200;
+  });
+}
+
+TEST_F(AlignedCorruption, EventColumnIdOutOfRangeIsRejected) {
+  // Same for the per-event event column, which the reduction indexes by.
+  expect_corrupt(tiny_experiment(), "events.bin", [](std::vector<u8>& b) {
+    const size_t event_count_at = kPicColumnAt + 8 + 3;  // after 3 pic bytes
+    const size_t event_at = (event_count_at + 8 + 7) / 8 * 8;
+    ASSERT_GT(b.size(), event_at);
+    ASSERT_EQ(b[event_at], static_cast<u8>(HwEvent::EC_rd_miss));
+    b[event_at] = 200;
   });
 }
 
 TEST_F(AlignedCorruption, TrailingBytesAfterTrailerAreRejected) {
-  expect_corrupt_both_loaders("events.bin", [](std::vector<u8>& b) { b.push_back(0); });
+  expect_corrupt(tiny_experiment(), "events.bin", [](std::vector<u8>& b) { b.push_back(0); });
 }
 
 TEST_F(AlignedCorruption, CorruptLoadobjectsIsRejectedWithContext) {
-  expect_corrupt_both_loaders("loadobjects.bin",
-                              [](std::vector<u8>& b) { b.resize(b.size() / 2); });
+  expect_corrupt(tiny_experiment(), "loadobjects.bin",
+                 [](std::vector<u8>& b) { b.resize(b.size() / 2); });
 }
 
 TEST_F(AlignedCorruption, AlignedFormatStillRoundTripsAfterHardening) {
   const Experiment ex = tiny_experiment();
   const testfix::TempDir tmp;
-  for (const char* mm : {static_cast<const char*>(nullptr), "0"}) {
-    const ScopedMmapEnv env(mm);
-    const std::string dir = tmp / "exp";
-    ex.save(dir, FileFormat::ColumnarAligned);
-    const Experiment back = Experiment::load(dir);
-    ASSERT_EQ(back.events.size(), ex.events.size());
-    for (size_t i = 0; i < ex.events.size(); ++i) {
-      EXPECT_TRUE(back.events.callstack(i) == ex.events.callstack(i));
-    }
-    // The zero-copy loader produces a frozen mapped store; the stream
-    // fallback produces a live owning one. Same contents either way.
-    EXPECT_EQ(back.events.is_mapped(), mm == nullptr);
+  const std::string dir = tmp / "exp";
+  ex.save(dir);
+  const Experiment back = Experiment::load(dir);
+  ASSERT_EQ(back.events.size(), ex.events.size());
+  for (size_t i = 0; i < ex.events.size(); ++i) {
+    EXPECT_TRUE(back.events.callstack(i) == ex.events.callstack(i));
   }
+  EXPECT_TRUE(back.events.is_mapped());
 }
 
-/// Build aligned EventStore bytes with hand-written columns (count, pad to
-/// 8, raw bytes — the serialize_aligned layout) so hostile handles can be
-/// injected, then run them through the real mmap path via a temp file.
-template <typename T>
-void put_aligned_col(ByteWriter& w, const std::vector<T>& col) {
-  w.put_u64(col.size());
-  w.align_to(8);
-  w.put_raw(col.data(), col.size() * sizeof(T));
-}
-
-void expect_mapped_rejects(const std::function<void(ByteWriter&)>& write_columns) {
-  ByteWriter w;
-  write_columns(w);
-  const testfix::TempDir tmp;
-  const std::string path = tmp / "hostile.bin";
-  write_file(path, w.bytes());
-  const auto mf = MappedFile::open(path);
-  ByteReader r(mf->data(), mf->size());
-  EXPECT_THROW(EventStore::deserialize_aligned(r, mf), Error);
-}
-
-TEST(AlignedCorruption2, OutOfRangeArenaHandleIsRejectedByMappedValidation) {
-  expect_mapped_rejects([](ByteWriter& w) {
-    put_aligned_col<u8>(w, {0});        // pic
-    put_aligned_col<u8>(w, {3});        // event
-    put_aligned_col<u64>(w, {1});       // weight
-    put_aligned_col<u64>(w, {0x1000});  // delivered_pc
-    put_aligned_col<u8>(w, {0});        // flags
-    put_aligned_col<u64>(w, {0});       // candidate_pc
-    put_aligned_col<u64>(w, {0});       // ea
-    put_aligned_col<u64>(w, {0});       // seq
-    put_aligned_col<u64>(w, {4});       // cs_offset: outside the 1-word arena
-    put_aligned_col<u32>(w, {2});       // cs_len
-    put_aligned_col<u64>(w, {0xdead});  // arena (1 word)
-  });
-}
-
-TEST(AlignedCorruption2, WrappingArenaHandleIsRejectedByMappedValidation) {
-  expect_mapped_rejects([](ByteWriter& w) {
-    put_aligned_col<u8>(w, {0});
-    put_aligned_col<u8>(w, {3});
-    put_aligned_col<u64>(w, {1});
-    put_aligned_col<u64>(w, {0x1000});
-    put_aligned_col<u8>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u64>(w, {~u64{0}});  // cs_offset near 2^64: offset+len wraps
-    put_aligned_col<u32>(w, {8});
-    put_aligned_col<u64>(w, {0xdead});
-  });
-}
-
-TEST(AlignedCorruption2, InconsistentColumnLengthsAreRejectedByMappedValidation) {
-  expect_mapped_rejects([](ByteWriter& w) {
-    put_aligned_col<u8>(w, {0, 0});  // pic: two rows
-    put_aligned_col<u8>(w, {3});     // every other column: one row
-    put_aligned_col<u64>(w, {1});
-    put_aligned_col<u64>(w, {0x1000});
-    put_aligned_col<u8>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u64>(w, {0});
-    put_aligned_col<u32>(w, {0});
-    put_aligned_col<u64>(w, {});
-  });
-}
-
-// --- experiment round trips in both on-disk layouts -------------------------
+// --- experiment round trips ---------------------------------------------------
 
 class StoreRoundTrip : public ::testing::Test {
  protected:
@@ -572,43 +515,6 @@ u32 events_magic(const std::string& dir) {
   return r.get_u32();
 }
 
-TEST_F(StoreRoundTrip, ColumnarFormatRoundTrips) {
-  const testfix::TempDir tmp;
-  const std::string dir = tmp / "exp";
-  ex_->save(dir, FileFormat::Columnar);
-  EXPECT_EQ(events_magic(dir), 0x44535046u);  // 'DSPF'
-  const Experiment back = Experiment::load(dir);
-  expect_same_events(*ex_, back);
-  EXPECT_EQ(back.events.unique_callstacks(), ex_->events.unique_callstacks());
-  EXPECT_EQ(back.total_cycles, ex_->total_cycles);
-  // DSPF predates allocation-site PCs: addr/size round-trip, site loads as 0.
-  ASSERT_EQ(back.allocations.size(), ex_->allocations.size());
-  for (size_t i = 0; i < back.allocations.size(); ++i) {
-    EXPECT_EQ(back.allocations[i].addr, ex_->allocations[i].addr);
-    EXPECT_EQ(back.allocations[i].size, ex_->allocations[i].size);
-    EXPECT_EQ(back.allocations[i].site_pc, 0u);
-  }
-}
-
-TEST_F(StoreRoundTrip, LegacyFormatRoundTripsAndAgreesWithColumnar) {
-  // The seed's row-oriented layout must load into the same events (and the
-  // loader re-interns, so dedup statistics match the in-memory store).
-  const testfix::TempDir tmp;
-  const std::string dir = tmp / "legacy";
-  ex_->save(dir, FileFormat::Legacy);
-  ex_->save(tmp / "columnar", FileFormat::Columnar);
-  EXPECT_EQ(events_magic(dir), 0x44535045u);  // 'DSPE'
-  const Experiment back = Experiment::load(dir);
-  expect_same_events(*ex_, back);
-  EXPECT_EQ(back.events.unique_callstacks(), ex_->events.unique_callstacks());
-  // Both layouts feed the analyzer identically.
-  const Experiment col = Experiment::load(tmp / "columnar");
-  analyze::Analysis al(back), ac(col);
-  EXPECT_EQ(analyze::render_overview(al), analyze::render_overview(ac));
-  EXPECT_EQ(analyze::render_data_objects(al, analyze::kUserCpuMetric),
-            analyze::render_data_objects(ac, analyze::kUserCpuMetric));
-}
-
 // --- reduction determinism ---------------------------------------------------
 
 std::string all_views(analyze::Analysis& a) {
@@ -630,45 +536,15 @@ std::string all_views(analyze::Analysis& a) {
   return s;
 }
 
-TEST_F(StoreRoundTrip, ShardedReductionIsThreadCountInvariant) {
-  analyze::AnalysisOptions serial;
-  serial.threads = 1;
-  analyze::Analysis a1(*ex_, serial);
-  const std::string serial_views = all_views(a1);
-  for (unsigned t : {2u, 3u, 8u}) {
-    analyze::AnalysisOptions opt;
-    opt.threads = t;
-    analyze::Analysis at(*ex_, opt);
-    EXPECT_EQ(all_views(at), serial_views) << "threads=" << t;
-    EXPECT_EQ(at.total(), a1.total()) << "threads=" << t;
-    EXPECT_EQ(at.data_total(), a1.data_total()) << "threads=" << t;
-  }
-}
-
-TEST_F(StoreRoundTrip, ShardedMatchesSeedEquivalentBaselineEngine) {
-  analyze::AnalysisOptions base;
-  base.engine = analyze::Reduction::Engine::Baseline;
-  analyze::Analysis ab(*ex_, base);
-  analyze::AnalysisOptions shard;
-  shard.threads = 4;
-  shard.engine = analyze::Reduction::Engine::Sharded;
-  analyze::Analysis as(*ex_, shard);
-  EXPECT_EQ(all_views(ab), all_views(as));
-  EXPECT_EQ(ab.total(), as.total());
-  EXPECT_EQ(ab.data_total(), as.data_total());
-  EXPECT_EQ(ab.reduce().events_reduced, as.reduce().events_reduced);
-}
-
 // --- zero-copy aligned layout + mmap loading ---------------------------------
 
 TEST_F(StoreRoundTrip, AlignedFormatIsTheDefaultAndRoundTripsZeroCopy) {
   const testfix::TempDir tmp;
   const std::string dir = tmp / "exp";
-  ex_->save(dir);  // default format
+  ex_->save(dir);
   EXPECT_EQ(events_magic(dir), 0x44535047u);  // 'DSPG'
   const Experiment back = Experiment::load(dir);
   EXPECT_TRUE(back.events.is_mapped());
-  EXPECT_TRUE(back.events.is_frozen());
   expect_same_events(*ex_, back);
   EXPECT_EQ(back.events.unique_callstacks(), ex_->events.unique_callstacks());
   EXPECT_EQ(back.total_cycles, ex_->total_cycles);
@@ -676,20 +552,21 @@ TEST_F(StoreRoundTrip, AlignedFormatIsTheDefaultAndRoundTripsZeroCopy) {
 }
 
 TEST_F(StoreRoundTrip, MappedAndStreamedLoadsAgree) {
+  // The two byte owners a decoded store can view: a mapped events.bin, and
+  // a heap buffer as dsprofd receives a frame payload.
   const testfix::TempDir tmp;
   const std::string dir = tmp / "exp";
-  ex_->save(dir, FileFormat::ColumnarAligned);
+  ex_->save(dir);
   const Experiment mapped = Experiment::load(dir);
   ASSERT_TRUE(mapped.events.is_mapped());
-  Experiment streamed;
-  {
-    const ScopedMmapEnv env("0");
-    streamed = Experiment::load(dir);
-  }
-  ASSERT_FALSE(streamed.events.is_mapped());
+  Experiment streamed = *ex_;
+  ByteWriter w;
+  ex_->events.serialize_aligned(w);
+  streamed.events = decode_payload(w.take());
+  ASSERT_TRUE(streamed.events.is_mapped());
   expect_same_events(mapped, streamed);
   EXPECT_EQ(mapped.events.unique_callstacks(), streamed.events.unique_callstacks());
-  // Both loaders feed the analyzer identically — and identically to the
+  // Both decodes feed the analyzer identically — and identically to the
   // original in-memory experiment.
   analyze::Analysis am(mapped), as(streamed), ao(*ex_);
   EXPECT_EQ(analyze::render_json_report(am), analyze::render_json_report(as));
@@ -699,14 +576,14 @@ TEST_F(StoreRoundTrip, MappedAndStreamedLoadsAgree) {
 TEST_F(StoreRoundTrip, MappedStoreIsFrozenAndRefusesAppend) {
   const testfix::TempDir tmp;
   const std::string dir = tmp / "exp";
-  ex_->save(dir, FileFormat::ColumnarAligned);
+  ex_->save(dir);
   Experiment back = Experiment::load(dir);
-  ASSERT_TRUE(back.events.is_frozen());
+  ASSERT_TRUE(back.events.is_mapped());
   const u64 pc = 0x1000;
   EXPECT_THROW(back.events.append(0, machine::HwEvent::EC_rd_miss, 1, pc, false, 0, false,
                                   0, nullptr, 0, 0),
                Error);
-  // A frozen store can still be copied into a live one, re-interning.
+  // A mapped store can still be copied into a live one, re-interning.
   EventStore live;
   live.append_range(back.events, 0, back.events.size());
   EXPECT_EQ(live.size(), back.events.size());
@@ -721,9 +598,8 @@ TEST_F(StoreRoundTrip, SerializeRangeMatchesAppendRangeSlice) {
     const size_t begin = rng() % ev.size();
     const size_t end = begin + rng() % (ev.size() - begin + 1);
     ByteWriter w;
-    ev.serialize_range(w, begin, end);
-    ByteReader r(w.bytes());
-    const EventStore got = EventStore::deserialize(r);
+    ev.serialize_range_aligned(w, begin, end);
+    const EventStore got = decode_payload(w.take());
     EventStore want;
     want.append_range(ev, begin, end);
     ASSERT_EQ(got.size(), want.size()) << "[" << begin << "," << end << ")";
@@ -743,7 +619,7 @@ TEST_F(StoreRoundTrip, SerializeRangeMatchesAppendRangeSlice) {
 
 // --- radix engine equivalence ------------------------------------------------
 
-TEST_F(StoreRoundTrip, RadixMatchesBaselineAndShardedForAnyThreadCount) {
+TEST_F(StoreRoundTrip, RadixMatchesBaselineForAnyThreadCount) {
   analyze::AnalysisOptions base;
   base.engine = analyze::Reduction::Engine::Baseline;
   analyze::Analysis ab(*ex_, base);
@@ -766,7 +642,7 @@ TEST_F(StoreRoundTrip, RadixMatchesOnMappedExperiments) {
   // and the baseline engine produce.
   const testfix::TempDir tmp;
   const std::string dir = tmp / "exp";
-  ex_->save(dir, FileFormat::ColumnarAligned);
+  ex_->save(dir);
   const Experiment mapped = Experiment::load(dir);
   ASSERT_TRUE(mapped.events.is_mapped());
   analyze::AnalysisOptions radix;
@@ -777,32 +653,12 @@ TEST_F(StoreRoundTrip, RadixMatchesOnMappedExperiments) {
   EXPECT_EQ(all_views(ar), all_views(ab));
 }
 
-TEST(ReduceEngineEnv, ResolveEngineHonorsOverride) {
-  const auto with_env = [](const char* v, analyze::Reduction::Engine want) {
-    setenv("DSPROF_REDUCE_ENGINE", v, 1);
-    EXPECT_EQ(analyze::Reduction::resolve_engine(analyze::Reduction::Engine::Auto), want)
-        << v;
-    unsetenv("DSPROF_REDUCE_ENGINE");
-  };
-  with_env("radix", analyze::Reduction::Engine::Radix);
-  with_env("sharded", analyze::Reduction::Engine::Sharded);
-  with_env("baseline", analyze::Reduction::Engine::Baseline);
-  // Unset: Auto resolves to the radix default; explicit engines pass through.
-  EXPECT_EQ(analyze::Reduction::resolve_engine(analyze::Reduction::Engine::Auto),
-            analyze::Reduction::Engine::Radix);
-  EXPECT_EQ(analyze::Reduction::resolve_engine(analyze::Reduction::Engine::Baseline),
-            analyze::Reduction::Engine::Baseline);
-  setenv("DSPROF_REDUCE_ENGINE", "bogus", 1);
-  EXPECT_THROW(analyze::Reduction::resolve_engine(analyze::Reduction::Engine::Auto), Error);
-  unsetenv("DSPROF_REDUCE_ENGINE");
-}
-
 // --- engine equivalence as a property over random stores ---------------------
 
 TEST_F(StoreRoundTrip, EnginesAgreeOnRandomStoresAndThreadCounts) {
   // Fuzz the fold inputs, not just one collected workload: random events
   // (valid and wild PCs, random flags/EAs, stacks drawn from a small pool
-  // so interning kicks in), reduced by all three engines at several thread
+  // so interning kicks in), reduced by both engines at several thread
   // counts — every rendered view must be byte-identical.
   std::mt19937_64 rng(0xC0FFEE);
   const u64 text_lo = 0x1000, text_hi = 0x1000 + 8 * 1024;
@@ -840,8 +696,7 @@ TEST_F(StoreRoundTrip, EnginesAgreeOnRandomStoresAndThreadCounts) {
 
     std::string want;
     for (const auto engine :
-         {analyze::Reduction::Engine::Baseline, analyze::Reduction::Engine::Sharded,
-          analyze::Reduction::Engine::Radix}) {
+         {analyze::Reduction::Engine::Baseline, analyze::Reduction::Engine::Radix}) {
       for (const unsigned threads : {1u, 3u}) {
         analyze::AnalysisOptions opt;
         opt.engine = engine;

@@ -244,14 +244,11 @@ TEST_F(MultiplexCollect, ReportsAnnotateScalesOnlyWhenMultiplexed) {
 
 TEST_F(MultiplexCollect, ReductionEnginesAgreeOnMultiplexedProfiles) {
   const auto ex = collect_mpx().ex;
-  analyze::AnalysisOptions radix, sharded, baseline;
+  analyze::AnalysisOptions radix, baseline;
   radix.engine = analyze::Reduction::Engine::Radix;
-  sharded.engine = analyze::Reduction::Engine::Sharded;
   baseline.engine = analyze::Reduction::Engine::Baseline;
   const std::string r = analyze::render_json_report(analyze::Analysis(ex, radix));
-  const std::string s = analyze::render_json_report(analyze::Analysis(ex, sharded));
   const std::string b = analyze::render_json_report(analyze::Analysis(ex, baseline));
-  EXPECT_EQ(r, s);
   EXPECT_EQ(r, b);
 }
 
@@ -267,65 +264,45 @@ u32 events_magic(const std::string& dir) {
 }
 
 TEST_F(MultiplexCollect, SaveLoadRoundTripsSlicesInEveryFormat) {
+  // "DSPJ" is the one multiplexed events.bin layout.
   const auto ex = collect_mpx().ex;
-  const struct {
-    experiment::FileFormat format;
-    u32 magic;
-  } cases[] = {
-      {experiment::FileFormat::ColumnarAligned, 0x4453504A},  // "DSPJ"
-      {experiment::FileFormat::Columnar, 0x44535049},         // "DSPI"
-      {experiment::FileFormat::Legacy, 0x44535048},           // "DSPH"
-  };
   const testfix::TempDir tmp;
-  for (const auto& c : cases) {
-    const std::string dir = tmp / ("mpx_fmt_" + std::to_string(static_cast<int>(c.format)));
-    ex.save(dir, c.format);
-    EXPECT_EQ(events_magic(dir), c.magic);
-    const auto back = experiment::Experiment::load(dir);
-    ASSERT_EQ(back.slices.size(), ex.slices.size());
-    for (size_t i = 0; i < ex.slices.size(); ++i) {
-      EXPECT_EQ(back.slices[i].live_cycles, ex.slices[i].live_cycles);
-      EXPECT_EQ(back.slices[i].switches, ex.slices[i].switches);
-    }
-    ASSERT_EQ(back.counters.size(), ex.counters.size());
-    for (size_t i = 0; i < ex.counters.size(); ++i) {
-      EXPECT_EQ(back.counters[i].set, ex.counters[i].set);
-    }
-    ASSERT_EQ(back.events.size(), ex.events.size());
-    for (size_t i = 0; i < ex.events.size(); ++i) {
-      ASSERT_EQ(back.events[i].set, ex.events[i].set) << "event " << i;
-    }
-    // The round-tripped profile renders identically to the in-memory one.
-    EXPECT_EQ(analyze::render_json_report(analyze::Analysis(back)),
-              analyze::render_json_report(analyze::Analysis(ex)));
+  const std::string dir = tmp / "mpx";
+  ex.save(dir);
+  EXPECT_EQ(events_magic(dir), 0x4453504Au);  // "DSPJ"
+  const auto back = experiment::Experiment::load(dir);
+  ASSERT_EQ(back.slices.size(), ex.slices.size());
+  for (size_t i = 0; i < ex.slices.size(); ++i) {
+    EXPECT_EQ(back.slices[i].live_cycles, ex.slices[i].live_cycles);
+    EXPECT_EQ(back.slices[i].switches, ex.slices[i].switches);
   }
+  ASSERT_EQ(back.counters.size(), ex.counters.size());
+  for (size_t i = 0; i < ex.counters.size(); ++i) {
+    EXPECT_EQ(back.counters[i].set, ex.counters[i].set);
+  }
+  ASSERT_EQ(back.events.size(), ex.events.size());
+  for (size_t i = 0; i < ex.events.size(); ++i) {
+    ASSERT_EQ(back.events[i].set, ex.events[i].set) << "event " << i;
+  }
+  // The round-tripped profile renders identically to the in-memory one.
+  EXPECT_EQ(analyze::render_json_report(analyze::Analysis(back)),
+            analyze::render_json_report(analyze::Analysis(ex)));
 }
 
 TEST_F(MultiplexCollect, NonMultiplexedSavesKeepTheOriginalFormats) {
-  // A run that fits the registers writes the exact pre-multiplexing file
-  // bytes (original magics, no set column, no slice table) and loads with an
-  // empty slice table — scale 1.0 everywhere.
+  // A run that fits the registers writes "DSPG" (no set column, no slice
+  // table) and loads with an empty slice table — scale 1.0 everywhere.
   const auto ex = testfix::quick_collect(*image_, "+ecrm,61", "on");
   ASSERT_TRUE(ex.slices.empty());
-  const struct {
-    experiment::FileFormat format;
-    u32 magic;
-  } cases[] = {
-      {experiment::FileFormat::ColumnarAligned, 0x44535047},  // "DSPG"
-      {experiment::FileFormat::Columnar, 0x44535046},         // "DSPF"
-      {experiment::FileFormat::Legacy, 0x44535045},           // "DSPE"
-  };
   const std::string ref = analyze::render_json_report(analyze::Analysis(ex));
   const testfix::TempDir tmp;
-  for (const auto& c : cases) {
-    const std::string dir = tmp / ("nonmpx_fmt_" + std::to_string(static_cast<int>(c.format)));
-    ex.save(dir, c.format);
-    EXPECT_EQ(events_magic(dir), c.magic);
-    const auto back = experiment::Experiment::load(dir);
-    EXPECT_TRUE(back.slices.empty());
-    EXPECT_FALSE(back.multiplexed());
-    EXPECT_EQ(analyze::render_json_report(analyze::Analysis(back)), ref);
-  }
+  const std::string dir = tmp / "nonmpx";
+  ex.save(dir);
+  EXPECT_EQ(events_magic(dir), 0x44535047u);  // "DSPG"
+  const auto back = experiment::Experiment::load(dir);
+  EXPECT_TRUE(back.slices.empty());
+  EXPECT_FALSE(back.multiplexed());
+  EXPECT_EQ(analyze::render_json_report(analyze::Analysis(back)), ref);
 }
 
 TEST_F(MultiplexCollect, CorruptSliceTablesFailWithStructuredErrors) {

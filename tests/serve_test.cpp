@@ -64,9 +64,8 @@ std::string offline_report(const Experiment& ex) {
 
 /// Stream `ex` into a fresh in-process server with the given batch size and
 /// return the snapshot JSON (asserting clean accounting on the way).
-std::string stream_snapshot(const Experiment& ex, size_t batch_events,
-                            ServerOptions sopt = {}) {
-  Server server(sopt);
+std::string stream_snapshot(const Experiment& ex, size_t batch_events) {
+  Server server;
   auto [client_end, server_end] = make_pipe_pair();
   server.add_session(std::move(server_end));
   Client client(std::move(client_end));
@@ -720,56 +719,11 @@ TEST_F(ServeTest, AllocationsFlowIntoInstanceView) {
   server.stop();
 }
 
-// --- queue-free direct-fold ingest ------------------------------------------
-
-TEST_F(ServeTest, DirectFoldSnapshotBitIdenticalToQueued) {
-  // The queue-free fast path must not change a single output byte: the
-  // same stream through direct and queued ingest renders the offline
-  // report either way, across batch splits.
-  const std::string offline = offline_report(*ex_);
-  for (const size_t batch : {size_t{64}, size_t{1000}, ex_->events.size()}) {
-    ServerOptions direct;
-    direct.direct_fold = true;
-    ServerOptions queued;
-    queued.direct_fold = false;
-    EXPECT_EQ(stream_snapshot(*ex_, batch, direct), offline) << "batch " << batch;
-    EXPECT_EQ(stream_snapshot(*ex_, batch, queued), offline) << "batch " << batch;
-  }
-}
-
-TEST_F(ServeTest, DirectFoldTakesTheFastPathAndQueuedNever) {
-  const auto run = [&](bool direct_fold) {
-    ServerOptions sopt;
-    sopt.direct_fold = direct_fold;
-    Server server(sopt);
-    auto [client_end, server_end] = make_pipe_pair();
-    server.add_session(std::move(server_end));
-    Client client(std::move(client_end));
-    Accounting acct;
-    EXPECT_TRUE(stream_experiment(client, *ex_, 512, acct).ok());
-    EXPECT_TRUE(client.close(acct).ok());
-    const ServerStats st = server.stats();
-    EXPECT_EQ(st.events_in, st.events_reduced + st.events_dropped);
-    server.stop();
-    return st;
-  };
-  // Direct mode: the first batch always finds the queue empty and the
-  // reducer idle, so at least one fold runs inline in the reader.
-  const ServerStats direct = run(true);
-  EXPECT_GT(direct.direct_folds, 0u);
-  EXPECT_EQ(direct.events_dropped, 0u);
-  // Queued mode: the fast path is disabled outright.
-  const ServerStats queued = run(false);
-  EXPECT_EQ(queued.direct_folds, 0u);
-  EXPECT_EQ(queued.events_in, direct.events_in);
-  EXPECT_EQ(queued.events_reduced, direct.events_reduced);
-}
-
 TEST_F(ServeTest, BeforeReduceSeamForcesQueuedPath) {
-  // Overload tests stall the reducer through before_reduce; the fast path
-  // must not bypass the seam (or those tests would stop meaning anything).
+  // Overload tests stall the reducer through before_reduce; every batch
+  // must take the queue to the reducer thread and so pass the seam (or
+  // those tests would stop meaning anything).
   ServerOptions sopt;
-  sopt.direct_fold = true;
   std::atomic<unsigned> seam_hits{0};
   sopt.before_reduce = [&](u64) { seam_hits.fetch_add(1); };
   Server server(sopt);
@@ -777,11 +731,109 @@ TEST_F(ServeTest, BeforeReduceSeamForcesQueuedPath) {
   server.add_session(std::move(server_end));
   Client client(std::move(client_end));
   Accounting acct;
-  ASSERT_TRUE(stream_experiment(client, *ex_, 512, acct).ok());
+  ASSERT_TRUE(stream_experiment(client, *ex_, 64, acct).ok());
   ASSERT_TRUE(client.close(acct).ok());
   const ServerStats st = server.stats();
-  EXPECT_EQ(st.direct_folds, 0u);
+  EXPECT_GT(st.batches_in, 1u);
+  EXPECT_EQ(seam_hits.load(), st.batches_in);
   EXPECT_EQ(seam_hits.load(), st.reduce_calls);
+  server.stop();
+}
+
+// --- hostile payloads -------------------------------------------------------
+
+/// Send raw frames on `t`, then read the server's replies until an Error
+/// frame (its carried status is returned) or the session closes (Ok).
+Status send_raw_expect_error(Transport& t, const std::vector<std::vector<u8>>& frames) {
+  for (const auto& bytes : frames) EXPECT_TRUE(t.send(bytes.data(), bytes.size()).ok());
+  FrameReader r;
+  std::vector<u8> buf(4096);
+  Frame f;
+  for (int i = 0; i < 10; ++i) {
+    size_t got = 0;
+    if (!t.recv_some(buf.data(), buf.size(), got, 1000).ok()) break;
+    if (!r.feed(buf.data(), got).ok()) break;
+    while (r.next_frame(f)) {
+      if (f.type != FrameType::Error) continue;
+      Status carried;
+      EXPECT_TRUE(decode_error(f.payload, carried).ok());
+      return carried;
+    }
+  }
+  return {};
+}
+
+/// The server is still healthy: a fresh session streams and folds `ex`.
+void expect_server_still_serves(Server& server, const Experiment& ex) {
+  auto [client_end, server_end] = make_pipe_pair();
+  server.add_session(std::move(server_end));
+  Client client(std::move(client_end));
+  Accounting acct;
+  ASSERT_TRUE(stream_experiment(client, ex, 512, acct).ok());
+  EXPECT_EQ(acct.events_reduced, ex.events.size());
+  ASSERT_TRUE(client.close(acct).ok());
+}
+
+TEST_F(ServeTest, HostileHelloIsMalformedAndTheDaemonSurvives) {
+  // Counts in a Hello are bounded before they drive allocation: the image's
+  // text word count by the bytes present, the counter-spec count by the
+  // events.bin header's routine. An event id past the last hardware event
+  // must not reach Analysis.
+  ByteWriter huge_text;
+  huge_text.put_string("hostile");
+  huge_text.put_u64(ex_->image.text_base);
+  huge_text.put_u32(0xFFFFFFFF);
+  ByteWriter huge;
+  huge.put_string("hostile");
+  ex_->image.serialize(huge);
+  huge.put_u32(0xFFFFFFFF);
+  ByteWriter bad_event;
+  bad_event.put_string("hostile");
+  ex_->image.serialize(bad_event);
+  experiment::put_counter_specs(bad_event, {{machine::HwEvent::EC_rd_miss, 97, true, 0, 0}},
+                                /*with_set=*/true);
+  std::vector<u8> bad_event_bytes = bad_event.take();
+  const size_t event_at = bad_event_bytes.size() - 12;  // event, interval, flag, pic, set
+  ASSERT_EQ(bad_event_bytes[event_at], static_cast<u8>(machine::HwEvent::EC_rd_miss));
+  bad_event_bytes[event_at] = 200;
+
+  Server server;
+  for (const std::vector<u8>& payload : {huge_text.take(), huge.take(), bad_event_bytes}) {
+    auto [client_end, server_end] = make_pipe_pair();
+    const u64 id = server.add_session(std::move(server_end));
+    const Status st =
+        send_raw_expect_error(*client_end, {encode_frame(FrameType::Hello, payload)});
+    EXPECT_EQ(st.code, StatusCode::Malformed) << st.to_string();
+    server.wait_session(id);
+  }
+  expect_server_still_serves(server, *ex_);
+  server.stop();
+}
+
+TEST_F(ServeTest, EventBatchWithUnknownEventIdIsMalformed) {
+  // The per-event event column is validated in the decode's handle loop:
+  // an id past the last hardware event would index the reducer's arrays.
+  EventStore batch;
+  batch.append_range(ex_->events, 0, 10);
+  std::vector<u8> payload = encode_event_batch(batch);
+  const size_t event_at = (8 + batch.size() + 8 + 7) / 8 * 8;  // after the pic column
+  ASSERT_EQ(payload[event_at], static_cast<u8>(batch[0].event));
+  payload[event_at] = 200;
+
+  HelloPayload h;
+  h.client_name = "hostile";
+  h.image = ex_->image;
+  h.counters = ex_->counters;
+  Server server;
+  auto [client_end, server_end] = make_pipe_pair();
+  const u64 id = server.add_session(std::move(server_end));
+  const Status st = send_raw_expect_error(
+      *client_end, {encode_frame(FrameType::Hello, encode_hello(h)),
+                    encode_frame(FrameType::EventBatch, payload)});
+  EXPECT_EQ(st.code, StatusCode::Malformed) << st.to_string();
+  server.wait_session(id);
+  EXPECT_EQ(server.stats().events_in, 0u);
+  expect_server_still_serves(server, *ex_);
   server.stop();
 }
 
