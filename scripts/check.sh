@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + full test suite, once normally and once each
 # under AddressSanitizer and UndefinedBehaviorSanitizer
-# (DSPROF_SANITIZE=address / undefined), serve_test and obs_test once under
-# ThreadSanitizer (DSPROF_SANITIZE=thread: the dsprofd session threads and
-# the obs shards), plus these static/dynamic gates:
+# (DSPROF_SANITIZE=address / undefined), serve_test, obs_test and
+# analyze_test once under ThreadSanitizer (DSPROF_SANITIZE=thread: the
+# dsprofd session threads, the obs shards and the Analysis reduction lock),
+# plus these static/dynamic gates:
 #   - the stress gate: the tests that write files or pin the simulator
 #     (ExperimentCorruption/AlignedCorruption/StoreRoundTrip, Memory, Cache,
 #     SimDigest) run three times over at ctest -j$(nproc), so a race between
@@ -53,8 +54,8 @@
 #   cmake -B build-ubsan -S . -DDSPROF_SANITIZE=undefined && cmake --build build-ubsan
 #   ctest --test-dir build-ubsan -j$(nproc)
 #   cmake -B build-tsan -S . -DDSPROF_SANITIZE=thread
-#   cmake --build build-tsan --target serve_test obs_test
-#   build-tsan/tests/serve_test && build-tsan/tests/obs_test
+#   cmake --build build-tsan --target serve_test obs_test analyze_test
+#   build-tsan/tests/serve_test && build-tsan/tests/obs_test && build-tsan/tests/analyze_test
 #
 # Exits nonzero on the first failing step.
 set -euo pipefail
@@ -73,19 +74,21 @@ run_pass() {
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}"
 }
 
-# ThreadSanitizer pass over the two multi-threaded subsystems: the dsprofd
-# sessions (reader + reducer threads, merged snapshots across sessions) and
-# the obs shards. The rest of the tree is single-threaded or covered by the
-# reduction's bit-identity tests, and TSan makes the simulator-heavy tests
-# too slow to run whole.
+# ThreadSanitizer pass over the multi-threaded subsystems: the dsprofd
+# sessions (reader + reducer threads, merged snapshots across sessions), the
+# obs shards, and Analysis readers racing on the lazy reduction
+# (analyze_test's ConcurrentReaders tests). The rest of the tree is
+# single-threaded or covered by the reduction's bit-identity tests, and TSan
+# makes the simulator-heavy tests too slow to run whole.
 run_tsan() {
   local dir="$1"
-  echo "== tsan: configure + build serve_test, obs_test (${dir}) =="
+  echo "== tsan: configure + build serve_test, obs_test, analyze_test (${dir}) =="
   cmake -B "${dir}" -S "${repo}" -DDSPROF_SANITIZE=thread
-  cmake --build "${dir}" -j "${jobs}" --target serve_test obs_test
-  echo "== tsan: serve_test, obs_test =="
+  cmake --build "${dir}" -j "${jobs}" --target serve_test obs_test analyze_test
+  echo "== tsan: serve_test, obs_test, analyze_test =="
   "${dir}/tests/serve_test"
   "${dir}/tests/obs_test"
+  "${dir}/tests/analyze_test"
 }
 
 # Stress gate: repeat the file-writing and simulator-pinning tests at full

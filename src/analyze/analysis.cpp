@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <tuple>
 
 #include "isa/isa.hpp"
@@ -127,16 +128,15 @@ Analysis::Analysis(std::vector<const experiment::Experiment*> exps,
   // The dsprofd snapshot path: adopt the live aggregates of an
   // IncrementalReducer (or a merge_results over several) instead of
   // re-reducing on first view access. The rendering experiments hold no
-  // events here, so the sampling-error n comes from the reduction itself —
-  // fold() tallied the same per-metric counts an offline scan of the
-  // events would.
+  // events here; the sampling-error n comes from the reduction, as it does
+  // offline.
   r_ = std::make_unique<ReductionResult>(std::move(precomputed));
   total_ = scaled(r_->total);
   data_total_ = scaled(r_->data_total);
-  sample_counts_cache_ = r_->sample_counts;
 }
 
-const ReductionResult& Analysis::reduce_locked() const {
+const ReductionResult& Analysis::reduce() const {
+  std::lock_guard<std::mutex> lock(mu_);
   if (!r_) {
     r_ = std::make_unique<ReductionResult>(
         Reduction::run(exps_, opt_.threads, opt_.engine));
@@ -146,105 +146,83 @@ const ReductionResult& Analysis::reduce_locked() const {
   return *r_;
 }
 
-const ReductionResult& Analysis::reduce() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reduce_locked();
-}
-
 const std::array<bool, kNumMetrics>& Analysis::present() const { return reduce().present; }
 
 const MetricVector& Analysis::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  reduce_locked();
+  reduce();  // total_ is written once, under mu_, before reduce() returns
   return total_;
 }
 
 const MetricVector& Analysis::data_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  reduce_locked();
+  reduce();
   return data_total_;
 }
 
-const std::string& Analysis::func_name(u32 id) const { return r_->func_names[id]; }
+const std::array<u64, kNumMetrics>& Analysis::sample_counts() const {
+  return reduce().sample_counts;
+}
 
 // ---------------------------------------------------------------------------
 // Code-space views
 
-const std::vector<Analysis::FunctionRow>& Analysis::functions(size_t sort_metric) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = functions_cache_.find(sort_metric);
-  if (it != functions_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::FunctionRow> Analysis::functions(size_t sort_metric) const {
+  const ReductionResult& r = reduce();
   std::vector<FunctionRow> rows;
   rows.reserve(r.func.size());
   for (const auto& e : r.func.entries()) {
-    rows.push_back({func_name(static_cast<u32>(e.key)), scaled(e.value)});
+    rows.push_back({r.func_names[e.key], scaled(e.value)});
   }
   std::sort(rows.begin(), rows.end(), [&](const FunctionRow& a, const FunctionRow& b) {
     if (a.mv[sort_metric] != b.mv[sort_metric]) return a.mv[sort_metric] > b.mv[sort_metric];
     return a.name < b.name;
   });
-  return functions_cache_.emplace(sort_metric, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::FunctionRow>& Analysis::functions_inclusive(
-    size_t sort_metric) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = inclusive_cache_.find(sort_metric);
-  if (it != inclusive_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::FunctionRow> Analysis::functions_inclusive(size_t sort_metric) const {
+  const ReductionResult& r = reduce();
   std::vector<FunctionRow> rows;
   rows.reserve(r.incl.size());
   for (const auto& e : r.incl.entries()) {
-    rows.push_back({func_name(static_cast<u32>(e.key)), scaled(e.value)});
+    rows.push_back({r.func_names[e.key], scaled(e.value)});
   }
   std::sort(rows.begin(), rows.end(), [&](const FunctionRow& a, const FunctionRow& b) {
     if (a.mv[sort_metric] != b.mv[sort_metric]) return a.mv[sort_metric] > b.mv[sort_metric];
     return a.name < b.name;
   });
-  return inclusive_cache_.emplace(sort_metric, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::EdgeRow>& Analysis::callers_of(const std::string& function) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = callers_cache_.find(function);
-  if (it != callers_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::EdgeRow> Analysis::callers_of(const std::string& function) const {
+  const ReductionResult& r = reduce();
   std::vector<EdgeRow> rows;
   for (const auto& e : r.edge.entries()) {
     const u32 callee = static_cast<u32>(e.key & 0xffffffffu);
-    if (func_name(callee) == function) {
-      rows.push_back({func_name(static_cast<u32>(e.key >> 32)), scaled(e.value)});
+    if (r.func_names[callee] == function) {
+      rows.push_back({r.func_names[e.key >> 32], scaled(e.value)});
     }
   }
   std::sort(rows.begin(), rows.end(),
             [](const EdgeRow& a, const EdgeRow& b) { return a.name < b.name; });
-  return callers_cache_.emplace(function, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::EdgeRow>& Analysis::callees_of(const std::string& function) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = callees_cache_.find(function);
-  if (it != callees_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::EdgeRow> Analysis::callees_of(const std::string& function) const {
+  const ReductionResult& r = reduce();
   std::vector<EdgeRow> rows;
   for (const auto& e : r.edge.entries()) {
     const u32 caller = static_cast<u32>(e.key >> 32);
-    if (func_name(caller) == function) {
-      rows.push_back(
-          {func_name(static_cast<u32>(e.key & 0xffffffffu)), scaled(e.value)});
+    if (r.func_names[caller] == function) {
+      rows.push_back({r.func_names[e.key & 0xffffffffu], scaled(e.value)});
     }
   }
   std::sort(rows.begin(), rows.end(),
             [](const EdgeRow& a, const EdgeRow& b) { return a.name < b.name; });
-  return callees_cache_.emplace(function, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::PcRow>& Analysis::pcs(size_t sort_metric) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pcs_cache_.find(sort_metric);
-  if (it != pcs_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::PcRow> Analysis::pcs(size_t sort_metric) const {
+  const ReductionResult& r = reduce();
   std::vector<PcRow> rows;
   rows.reserve(r.pc.size());
   for (const auto& e : r.pc.entries()) {
@@ -255,7 +233,7 @@ const std::vector<Analysis::PcRow>& Analysis::pcs(size_t sort_metric) const {
     if (a.pc != b.pc) return a.pc < b.pc;
     return a.artificial < b.artificial;
   });
-  return pcs_cache_.emplace(sort_metric, std::move(rows)).first->second;
+  return rows;
 }
 
 std::string Analysis::pc_name(u64 pc) const {
@@ -270,12 +248,8 @@ std::string Analysis::pc_name(u64 pc) const {
   return buf;
 }
 
-const std::vector<Analysis::LineRow>& Analysis::annotated_source(
-    const std::string& function) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = source_cache_.find(function);
-  if (it != source_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::LineRow> Analysis::annotated_source(const std::string& function) const {
+  const ReductionResult& r = reduce();
   const sym::SymbolTable& st = image_->symtab;
   const sym::FuncInfo* fi = nullptr;
   for (const auto& f : st.functions()) {
@@ -301,15 +275,12 @@ const std::vector<Analysis::LineRow>& Analysis::annotated_source(
       rows.push_back(std::move(row));
     }
   }
-  return source_cache_.emplace(function, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::DisasmRow>& Analysis::annotated_disassembly(
+std::vector<Analysis::DisasmRow> Analysis::annotated_disassembly(
     const std::string& function) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = disasm_cache_.find(function);
-  if (it != disasm_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+  const ReductionResult& r = reduce();
   const sym::SymbolTable& st = image_->symtab;
   const sym::FuncInfo* fi = nullptr;
   for (const auto& f : st.functions()) {
@@ -340,17 +311,14 @@ const std::vector<Analysis::DisasmRow>& Analysis::annotated_disassembly(
     if (const MetricCounts* c = r.pc.find(pc << 1)) row.mv = scaled(*c);
     rows.push_back(std::move(row));
   }
-  return disasm_cache_.emplace(function, std::move(rows)).first->second;
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
 // Data-space views
 
-const std::vector<Analysis::DataObjectRow>& Analysis::data_objects(size_t sort_metric) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = data_objects_cache_.find(sort_metric);
-  if (it != data_objects_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::DataObjectRow> Analysis::data_objects(size_t sort_metric) const {
+  const ReductionResult& r = reduce();
   std::vector<DataObjectRow> rows;
   rows.reserve(r.data.size());
   for (const auto& e : r.data.entries()) {
@@ -369,14 +337,11 @@ const std::vector<Analysis::DataObjectRow>& Analysis::data_objects(size_t sort_m
     if (a.mv[sort_metric] != b.mv[sort_metric]) return a.mv[sort_metric] > b.mv[sort_metric];
     return a.name < b.name;
   });
-  return data_objects_cache_.emplace(sort_metric, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::MemberRow>& Analysis::members(const std::string& struct_name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = members_cache_.find(struct_name);
-  if (it != members_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::MemberRow> Analysis::members(const std::string& struct_name) const {
+  const ReductionResult& r = reduce();
   const sym::TypeTable& tt = image_->symtab.types();
   const sym::TypeId sid = tt.find_struct(struct_name);
   DSP_CHECK(sid != sym::kInvalidType, "no such struct: " + struct_name);
@@ -397,13 +362,11 @@ const std::vector<Analysis::MemberRow>& Analysis::members(const std::string& str
   }
   std::sort(rows.begin(), rows.end(),
             [](const MemberRow& a, const MemberRow& b) { return a.offset < b.offset; });
-  return members_cache_.emplace(struct_name, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::EffectivenessRow>& Analysis::effectiveness() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (effectiveness_cache_) return *effectiveness_cache_;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::EffectivenessRow> Analysis::effectiveness() const {
+  const ReductionResult& r = reduce();
   std::vector<EffectivenessRow> rows;
   for (size_t metric = 0; metric < machine::kNumHwEvents; ++metric) {
     if (!r.present[metric]) continue;
@@ -421,8 +384,7 @@ const std::vector<Analysis::EffectivenessRow>& Analysis::effectiveness() const {
     }
     if (row.total > 0) rows.push_back(row);
   }
-  effectiveness_cache_ = std::move(rows);
-  return *effectiveness_cache_;
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -440,26 +402,19 @@ const char* classify_segment(const sym::Image& img, u64 ea) {
 
 }  // namespace
 
-const std::vector<Analysis::AddrRow>& Analysis::segments() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (segments_cache_) return *segments_cache_;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::AddrRow> Analysis::segments() const {
+  const ReductionResult& r = reduce();
   std::map<std::string, MetricVector> acc;
   for (const auto& s : r.ea_samples) {
     add_to(acc[classify_segment(*image_, s.ea)], s.metric, s.w * scale_[s.metric]);
   }
   std::vector<AddrRow> rows;
   for (const auto& [name, mv] : acc) rows.push_back({name, 0, mv});
-  segments_cache_ = std::move(rows);
-  return *segments_cache_;
+  return rows;
 }
 
-const std::vector<Analysis::AddrRow>& Analysis::pages(size_t sort_metric, size_t top_n) const {
-  const auto key = std::make_pair(sort_metric, top_n);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pages_cache_.find(key);
-  if (it != pages_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::AddrRow> Analysis::pages(size_t sort_metric, size_t top_n) const {
+  const ReductionResult& r = reduce();
   std::map<u64, MetricVector> acc;
   for (const auto& s : r.ea_samples) {
     add_to(acc[s.ea / page_size_ * page_size_], s.metric, s.w * scale_[s.metric]);
@@ -474,16 +429,11 @@ const std::vector<Analysis::AddrRow>& Analysis::pages(size_t sort_metric, size_t
     return a.mv[sort_metric] > b.mv[sort_metric];
   });
   if (rows.size() > top_n) rows.resize(top_n);
-  return pages_cache_.emplace(key, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::AddrRow>& Analysis::cache_lines(size_t sort_metric,
-                                                            size_t top_n) const {
-  const auto key = std::make_pair(sort_metric, top_n);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_lines_cache_.find(key);
-  if (it != cache_lines_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::AddrRow> Analysis::cache_lines(size_t sort_metric, size_t top_n) const {
+  const ReductionResult& r = reduce();
   std::map<u64, MetricVector> acc;
   for (const auto& s : r.ea_samples) {
     add_to(acc[s.ea / ec_line_size_ * ec_line_size_], s.metric, s.w * scale_[s.metric]);
@@ -498,16 +448,12 @@ const std::vector<Analysis::AddrRow>& Analysis::cache_lines(size_t sort_metric,
     return a.mv[sort_metric] > b.mv[sort_metric];
   });
   if (rows.size() > top_n) rows.resize(top_n);
-  return cache_lines_cache_.emplace(key, std::move(rows)).first->second;
+  return rows;
 }
 
-const std::vector<Analysis::InstanceRow>& Analysis::instances(size_t sort_metric,
-                                                              size_t top_n) const {
-  const auto key = std::make_pair(sort_metric, top_n);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = instances_cache_.find(key);
-  if (it != instances_cache_.end()) return it->second;
-  const ReductionResult& r = reduce_locked();
+std::vector<Analysis::InstanceRow> Analysis::instances(size_t sort_metric,
+                                                       size_t top_n) const {
+  const ReductionResult& r = reduce();
   std::vector<InstanceRow> rows;
   if (!allocations_.empty()) {
     // Name instances the paper's way — allocating function + per-function
@@ -552,16 +498,14 @@ const std::vector<Analysis::InstanceRow>& Analysis::instances(size_t sort_metric
     });
     if (rows.size() > top_n) rows.resize(top_n);
   }
-  return instances_cache_.emplace(key, std::move(rows)).first->second;
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
 // Per-access samples (the src/opt/ feedback loop)
 
-const std::vector<Analysis::AccessSample>& Analysis::member_accesses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (accesses_cache_) return *accesses_cache_;
-  std::vector<AccessSample> out;
+Analysis::MemberAccesses Analysis::member_accesses() const {
+  MemberAccesses out;
   // Window interning: (experiment, interned-callstack handle, leaf function
   // entry). Dense ids are assigned in event order — a serial pass over the
   // raw columns, so the result (and every plan derived from it) is
@@ -609,34 +553,11 @@ const std::vector<Analysis::AccessSample>& Analysis::member_accesses() const {
       s.member = ref->member;
       s.metric = static_cast<size_t>(event[i]);
       s.weight = weight[i];
-      out.push_back(s);
+      out.samples.push_back(s);
     }
   }
-  access_windows_ = static_cast<u32>(windows.size());
-  accesses_cache_ = std::move(out);
-  return *accesses_cache_;
-}
-
-u32 Analysis::access_windows() const {
-  member_accesses();  // fills access_windows_
-  std::lock_guard<std::mutex> lock(mu_);
-  return access_windows_;
-}
-
-const std::array<u64, kNumMetrics>& Analysis::sample_counts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (sample_counts_cache_) return *sample_counts_cache_;
-  std::array<u64, kNumMetrics> counts{};
-  for (const auto* ex : exps_) {
-    const auto pic = ex->events.pic_col();
-    const auto event = ex->events.event_col();
-    for (size_t i = 0, n = ex->events.size(); i < n; ++i) {
-      counts[pic[i] == machine::kClockPic ? kUserCpuMetric
-                                          : static_cast<size_t>(event[i])] += 1;
-    }
-  }
-  sample_counts_cache_ = counts;
-  return *sample_counts_cache_;
+  out.windows = static_cast<u32>(windows.size());
+  return out;
 }
 
 double Analysis::split_fraction(u64 base, u64 obj_size, u64 count, u64 line_size) {

@@ -13,24 +13,23 @@
 // Analysis is a lazy facade over the Reduction engine (reduction.hpp):
 // construction only records which experiments to analyze; the single
 // reduction pass runs on first view access (parallel across event
-// shards, controlled by DSPROF_THREADS), and every rendered view is memoized
-// so repeated render_* calls do not re-sort.
+// shards, controlled by DSPROF_THREADS). Views are computed from the
+// reduction on every call and returned by value — nothing is memoized.
 //
-// Thread safety: the lazy reduction and every memoized view are guarded by
-// one internal mutex, so concurrent readers (e.g. two dsprofd snapshot
-// requests, or two report renderers sharing one Analysis) may call any
-// const view accessor from any thread. The returned references stay valid
-// for the lifetime of the Analysis — caches only grow, they are never
-// invalidated.
+// Thread safety: any const accessor may be called from any thread. One
+// internal mutex guards only the lazy reduction (the ReductionResult and
+// the scaled totals, written once); the reduction is immutable afterwards,
+// so concurrent views (e.g. two dsprofd snapshot requests, or two report
+// renderers sharing one Analysis) share nothing mutable. The references
+// returned by reduce(), present(), total(), data_total() and
+// sample_counts() stay valid for the lifetime of the Analysis.
 //
 // Lifetime: the analyzed experiments must outlive the Analysis (it keeps
 // pointers, not copies — experiments can hold millions of events).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "analyze/metrics.hpp"
@@ -141,11 +140,11 @@ class Analysis {
     MetricVector mv{};
   };
   /// Exclusive metrics per function, descending by `sort_metric`.
-  const std::vector<FunctionRow>& functions(size_t sort_metric) const;
+  std::vector<FunctionRow> functions(size_t sort_metric) const;
 
   /// Inclusive metrics (exclusive + everything called from the function,
   /// via the recorded callstacks), descending by `sort_metric`.
-  const std::vector<FunctionRow>& functions_inclusive(size_t sort_metric) const;
+  std::vector<FunctionRow> functions_inclusive(size_t sort_metric) const;
 
   /// Callers-callees view (paper §2.3: "to show callers and callees of a
   /// function, with information about how the performance metrics are
@@ -154,15 +153,15 @@ class Analysis {
     std::string name;
     MetricVector attributed{};
   };
-  const std::vector<EdgeRow>& callers_of(const std::string& function) const;
-  const std::vector<EdgeRow>& callees_of(const std::string& function) const;
+  std::vector<EdgeRow> callers_of(const std::string& function) const;
+  std::vector<EdgeRow> callees_of(const std::string& function) const;
 
   struct PcRow {
     u64 pc = 0;
     bool artificial = false;  // an inserted <branch target> PC
     MetricVector mv{};
   };
-  const std::vector<PcRow>& pcs(size_t sort_metric) const;
+  std::vector<PcRow> pcs(size_t sort_metric) const;
   /// "refresh_potential + 0x000000D0" (paper Figure 5 naming).
   std::string pc_name(u64 pc) const;
 
@@ -172,7 +171,7 @@ class Analysis {
     MetricVector mv{};
   };
   /// Annotated source of a function (paper Figure 3).
-  const std::vector<LineRow>& annotated_source(const std::string& function) const;
+  std::vector<LineRow> annotated_source(const std::string& function) const;
 
   struct DisasmRow {
     u64 pc = 0;
@@ -183,7 +182,7 @@ class Analysis {
     MetricVector mv{};
   };
   /// Annotated disassembly of a function (paper Figure 4).
-  const std::vector<DisasmRow>& annotated_disassembly(const std::string& function) const;
+  std::vector<DisasmRow> annotated_disassembly(const std::string& function) const;
 
   // --- data-space views -------------------------------------------------------
   struct DataObjectRow {
@@ -194,7 +193,7 @@ class Analysis {
   };
   /// All data objects, descending by `sort_metric`. The <Unknown> aggregate
   /// is not included (it is the sum of the rows whose cat is an unknown).
-  const std::vector<DataObjectRow>& data_objects(size_t sort_metric) const;
+  std::vector<DataObjectRow> data_objects(size_t sort_metric) const;
 
   struct MemberRow {
     u32 member = 0;
@@ -204,7 +203,7 @@ class Analysis {
   };
   /// Member expansion of a struct data object (paper Figure 7), in layout
   /// (offset) order, including zero-metric members.
-  const std::vector<MemberRow>& members(const std::string& struct_name) const;
+  std::vector<MemberRow> members(const std::string& struct_name) const;
 
   /// Backtracking effectiveness per hardware metric (§3.2.5): fraction of
   /// the metric's data-space total attributed to real objects, i.e.
@@ -215,7 +214,7 @@ class Analysis {
     double unresolved = 0;  // Unresolvable + Unascertainable + Unverifiable
     double effectiveness() const { return total == 0 ? 1.0 : 1.0 - unresolved / total; }
   };
-  const std::vector<EffectivenessRow>& effectiveness() const;
+  std::vector<EffectivenessRow> effectiveness() const;
 
   // --- address-space views (paper §4 future work) ----------------------------
   struct AddrRow {
@@ -224,10 +223,10 @@ class Analysis {
     MetricVector mv{};
   };
   /// Metrics by memory segment (text/data/heap/stack).
-  const std::vector<AddrRow>& segments() const;
+  std::vector<AddrRow> segments() const;
   /// Hottest pages / E$ lines by `sort_metric`.
-  const std::vector<AddrRow>& pages(size_t sort_metric, size_t top_n) const;
-  const std::vector<AddrRow>& cache_lines(size_t sort_metric, size_t top_n) const;
+  std::vector<AddrRow> pages(size_t sort_metric, size_t top_n) const;
+  std::vector<AddrRow> cache_lines(size_t sort_metric, size_t top_n) const;
   /// Hottest allocated object instances (via the allocation log). `name` is
   /// the paper's "mcf_arena[k]" style: the allocating function (from the
   /// recorded allocation-site PC) with a per-function ordinal; "alloc[k]"
@@ -238,7 +237,7 @@ class Analysis {
     std::string name;
     MetricVector mv{};
   };
-  const std::vector<InstanceRow>& instances(size_t sort_metric, size_t top_n) const;
+  std::vector<InstanceRow> instances(size_t sort_metric, size_t top_n) const;
 
   /// Fraction of `count` objects of `obj_size` bytes starting at `base` that
   /// straddle an `line_size`-byte cache-line boundary (the paper's "28% of
@@ -263,26 +262,26 @@ class Analysis {
     size_t metric = 0;
     u64 weight = 0;
   };
+  struct MemberAccesses {
+    std::vector<AccessSample> samples;
+    u32 windows = 0;  // distinct (callstack, leaf) windows among the samples
+  };
   /// All validated struct-member accesses in event order, aggregated in one
   /// serial pass over the raw SoA columns (thread-count independent, so
   /// everything derived from it — the er_opt plan in particular — is too).
-  const std::vector<AccessSample>& member_accesses() const;
-  /// Number of distinct (callstack, leaf) windows member_accesses() saw.
-  u32 access_windows() const;
+  MemberAccesses member_accesses() const;
 
   /// Per-metric event (sample) counts, clock samples under kUserCpuMetric —
   /// the n behind the er_opt delta report's sampling-error estimate: a
   /// metric total is a sum of n samples of weight w, so its standard error
-  /// is ~ w * sqrt(n).
+  /// is ~ w * sqrt(n). Carried by the reduction (ReductionResult::
+  /// sample_counts).
   const std::array<u64, kNumMetrics>& sample_counts() const;
 
   /// Force the reduction pass now (it otherwise runs on first view access).
   const ReductionResult& reduce() const;
 
  private:
-  /// The reduction body; callers must hold mu_.
-  const ReductionResult& reduce_locked() const;
-  const std::string& func_name(u32 id) const;
   void compute_scales();
 
   std::vector<const experiment::Experiment*> exps_;
@@ -299,35 +298,13 @@ class Analysis {
   std::array<double, kNumMetrics> scale_{};
   bool mpx_ = false;
 
-  // Guards the lazy reduction and every memoized view below: two threads
-  // triggering the first view access race on r_ and the caches otherwise
-  // (tests/analyze_test.cpp ConcurrentReaders, run under ASan/TSan).
+  // Guards the lazy reduction: two threads triggering the first view
+  // access race on r_ and the totals otherwise (tests/analyze_test.cpp
+  // ConcurrentReaders, run under ASan/TSan).
   mutable std::mutex mu_;
-
-  // Reduction output + converted totals, built on first access.
   mutable std::unique_ptr<ReductionResult> r_;
   mutable MetricVector total_{};
   mutable MetricVector data_total_{};
-
-  // Memoized views (guarded by mu_; the reduction's parallelism lives
-  // inside the reduction pass).
-  mutable std::map<size_t, std::vector<FunctionRow>> functions_cache_;
-  mutable std::map<size_t, std::vector<FunctionRow>> inclusive_cache_;
-  mutable std::map<size_t, std::vector<PcRow>> pcs_cache_;
-  mutable std::map<size_t, std::vector<DataObjectRow>> data_objects_cache_;
-  mutable std::map<std::string, std::vector<EdgeRow>> callers_cache_;
-  mutable std::map<std::string, std::vector<EdgeRow>> callees_cache_;
-  mutable std::map<std::string, std::vector<LineRow>> source_cache_;
-  mutable std::map<std::string, std::vector<DisasmRow>> disasm_cache_;
-  mutable std::map<std::string, std::vector<MemberRow>> members_cache_;
-  mutable std::optional<std::vector<EffectivenessRow>> effectiveness_cache_;
-  mutable std::optional<std::vector<AccessSample>> accesses_cache_;
-  mutable u32 access_windows_ = 0;
-  mutable std::optional<std::array<u64, kNumMetrics>> sample_counts_cache_;
-  mutable std::optional<std::vector<AddrRow>> segments_cache_;
-  mutable std::map<std::pair<size_t, size_t>, std::vector<AddrRow>> pages_cache_;
-  mutable std::map<std::pair<size_t, size_t>, std::vector<AddrRow>> cache_lines_cache_;
-  mutable std::map<std::pair<size_t, size_t>, std::vector<InstanceRow>> instances_cache_;
 };
 
 }  // namespace dsprof::analyze

@@ -1,6 +1,5 @@
 #include "analyze/reduction.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <thread>
@@ -33,54 +32,27 @@ enum : u8 {
   kCatUnverifiable = 6,
 };
 
-/// Per-event attribution outcome tallies (paper §2.3 candidate validation).
-/// Plain integers bumped inside the fold loop — sub-nanosecond next to the
-/// fold itself — and flushed to obs counters once per shard / per fold()
-/// call, keeping the per-event hot path free of atomics.
-struct AttrOutcomes {
-  u64 clock = 0;          // clock-profile samples (no data attribution)
-  u64 validated = 0;      // candidate PC survived branch-target validation
-  u64 branch_target = 0;  // a branch target intervened: artificial PC row
-  u64 no_candidate = 0;   // no backtracking or no memory op in the window
-  u64 unverifiable = 0;   // no branch-target info in the symbol tables
+/// Which events were collected with apropos backtracking. Keyed by event,
+/// not by PIC register: a multiplexed run time-slices several counter sets
+/// onto the same registers, so a register number no longer identifies a
+/// counter spec (for a single always-live set the two keyings are
+/// equivalent — at most one spec per register).
+using BacktrackFlags = std::array<bool, machine::kNumHwEvents>;
 
-  void flush(u64 events_folded) const {
-    static const obs::Counter c_folded = obs::counter("reduce.events.folded");
-    static const obs::Counter c_clock = obs::counter("reduce.attr.clock");
-    static const obs::Counter c_validated = obs::counter("reduce.attr.validated");
-    static const obs::Counter c_branch = obs::counter("reduce.attr.branch_target");
-    static const obs::Counter c_nocand = obs::counter("reduce.attr.no_candidate");
-    static const obs::Counter c_unver = obs::counter("reduce.attr.unverifiable");
-    c_folded.add(events_folded);
-    if (clock != 0) c_clock.add(clock);
-    if (validated != 0) c_validated.add(validated);
-    if (branch_target != 0) c_branch.add(branch_target);
-    if (no_candidate != 0) c_nocand.add(no_candidate);
-    if (unverifiable != 0) c_unver.add(unverifiable);
-  }
-};
+BacktrackFlags backtrack_flags(const std::vector<experiment::CounterSpec>& counters) {
+  BacktrackFlags bt{};
+  for (const auto& spec : counters) bt[static_cast<size_t>(spec.event)] = spec.backtrack;
+  return bt;
+}
 
-/// Immutable fold context: which events, which symbols, which counters were
-/// collected with apropos backtracking. Built per experiment by the offline
-/// engines and per session by the IncrementalReducer. Backtracking is keyed
-/// by event, not by PIC register: a multiplexed run time-slices several
-/// counter sets onto the same registers, so a register number no longer
-/// identifies a counter spec (for a single always-live set the two keyings
-/// are equivalent — at most one spec per register).
-struct FoldContext {
-  const EventStore* events = nullptr;
-  const sym::SymbolTable* symtab = nullptr;
-  std::array<bool, machine::kNumHwEvents> backtrack_by_event{};
-};
-
-FoldContext context_of(const Experiment& ex) {
-  FoldContext c;
-  c.events = &ex.events;
-  c.symtab = &ex.image.symtab;
-  for (const auto& spec : ex.counters) {
-    c.backtrack_by_event[static_cast<size_t>(spec.event)] = spec.backtrack;
-  }
-  return c;
+/// Function id -> display name: the symbol table's functions in table
+/// order, then "<unknown code>".
+std::vector<std::string> func_names_of(const sym::SymbolTable& st) {
+  std::vector<std::string> names;
+  names.reserve(st.functions().size() + 1);
+  for (const auto& f : st.functions()) names.push_back(f.name);
+  names.push_back("<unknown code>");
+  return names;
 }
 
 u32 func_id_for(const sym::SymbolTable& st, u64 pc, u32 unknown_id) {
@@ -115,6 +87,7 @@ struct BaselineState {
   std::map<std::pair<u8, u32>, MetricVector> data_map;
   std::map<std::pair<u32, u32>, MetricVector> member_map;
   std::vector<EaSample> ea_samples;
+  MetricCounts sample_counts{};
 };
 
 void baseline_attribute_code(BaselineState& st, const sym::SymbolTable& symtab, u64 pc,
@@ -147,13 +120,15 @@ void baseline_attribute_code(BaselineState& st, const sym::SymbolTable& symtab, 
   }
 }
 
-void baseline_fold(BaselineState& bs, const FoldContext& ctx, size_t i) {
-  const EventStore& ev = *ctx.events;
-  const sym::SymbolTable& st = *ctx.symtab;
+void baseline_fold(BaselineState& bs, const Experiment& ex,
+                   const BacktrackFlags& backtrack_by_event, size_t i) {
+  const EventStore& ev = ex.events;
+  const sym::SymbolTable& st = ex.image.symtab;
   const experiment::EventView e = ev[i];
   const double w = static_cast<double>(e.weight);
 
   if (e.pic == machine::kClockPic) {
+    bs.sample_counts[kUserCpuMetric] += 1;
     bs.present[kUserCpuMetric] = true;
     add_to(bs.total, kUserCpuMetric, w);
     baseline_attribute_code(bs, st, e.delivered_pc, false, kUserCpuMetric, w, e.callstack);
@@ -161,11 +136,12 @@ void baseline_fold(BaselineState& bs, const FoldContext& ctx, size_t i) {
   }
 
   const auto metric = static_cast<size_t>(e.event);
+  bs.sample_counts[metric] += 1;
   bs.present[metric] = true;
   add_to(bs.total, metric, w);
 
   const bool backtracked =
-      e.pic < machine::kNumPics && ctx.backtrack_by_event[static_cast<size_t>(e.event)];
+      e.pic < machine::kNumPics && backtrack_by_event[static_cast<size_t>(e.event)];
   auto data_bucket = [&](u8 cat, u32 sid) {
     add_to(bs.data_map[{cat, sid}], metric, w);
     add_to(bs.data_total, metric, w);
@@ -217,16 +193,18 @@ MetricCounts counts_of(const MetricVector& v) {
   return c;
 }
 
-ReductionResult reduce_baseline(const std::vector<FoldContext>& ctxs, u32 unknown_id) {
+ReductionResult reduce_baseline(const std::vector<const Experiment*>& exps) {
   BaselineState bs;
   size_t n = 0;
-  for (const auto& ctx : ctxs) {
-    n += ctx.events->size();
-    for (size_t i = 0; i < ctx.events->size(); ++i) baseline_fold(bs, ctx, i);
+  for (const auto* ex : exps) {
+    const BacktrackFlags bt = backtrack_flags(ex->counters);
+    n += ex->events.size();
+    for (size_t i = 0; i < ex->events.size(); ++i) baseline_fold(bs, *ex, bt, i);
   }
 
   // Convert the string-keyed maps into the packed-key result form.
-  const sym::SymbolTable& st = *ctxs[0].symtab;
+  const sym::SymbolTable& st = exps[0]->image.symtab;
+  const auto unknown_id = static_cast<u32>(st.functions().size());
   auto id_of = [&](const std::string& name) -> u32 {
     for (size_t f = 0; f < st.functions().size(); ++f) {
       if (st.functions()[f].name == name) return static_cast<u32>(f);
@@ -251,6 +229,8 @@ ReductionResult reduce_baseline(const std::vector<FoldContext>& ctxs, u32 unknow
     r.member[member_key(k.first, k.second)] = counts_of(v);
   }
   r.ea_samples = std::move(bs.ea_samples);
+  r.func_names = func_names_of(st);
+  r.sample_counts = bs.sample_counts;
   return r;
 }
 
@@ -279,29 +259,17 @@ ReductionResult reduce_baseline(const std::vector<FoldContext>& ctxs, u32 unknow
 
 class RadixFolder {
  public:
-  /// Bind a fold context (symbol table + per-event backtrack flags). Resets
-  /// every cache: decisions depend on both, so a folder is rebound at
-  /// experiment boundaries.
-  void bind(const sym::SymbolTable* symtab,
-            const std::array<bool, machine::kNumHwEvents>& backtrack_by_event, u32 unknown_id) {
-    st_ = symtab;
-    backtrack_by_event_ = backtrack_by_event;
-    unknown_id_ = unknown_id;
-    dec_slots_.clear();
-    decs_.clear();
-    dec_w_.clear();
-    dec_n_.clear();
-    touched_decs_.clear();
-    fat_slots_.clear();
-    fat_mask_ = 0;
-    fats_.clear();  // entries embed decision ids, now invalid
-  }
+  /// Decisions depend on the symbol table and the backtrack flags, so a
+  /// folder is bound to both for its lifetime (one per IncrementalReducer).
+  RadixFolder(const sym::SymbolTable& symtab, const BacktrackFlags& backtrack_by_event)
+      : st_(&symtab),
+        backtrack_by_event_(backtrack_by_event),
+        unknown_id_(static_cast<u32>(symtab.functions().size())) {}
 
   /// Fold events [begin, end) of `ev` into `r`. Callstack identities are
   /// re-derived per call (handles are only meaningful within one store), so
   /// successive calls may pass different stores — the dsprofd batch path.
-  void fold(ReductionResult& r, const experiment::EventStore& ev, size_t begin, size_t end,
-            AttrOutcomes& oc);
+  void fold(ReductionResult& r, const experiment::EventStore& ev, size_t begin, size_t end);
 
  private:
   /// One classified event tuple: every per-event question the attribution
@@ -317,7 +285,7 @@ class RadixFolder {
     u32 leaf = 0;
     u32 line = 0;
     u8 metric = 0;
-    u8 outcome = 0;  // index into outcome_counts_ (AttrOutcomes order)
+    u8 outcome = 0;  // index into outcome_counts_
     bool has_line = false;
     bool has_data = false;
     bool has_member = false;
@@ -344,6 +312,26 @@ class RadixFolder {
     kOutUnverifiable,
     kNumOutcomes,
   };
+
+  /// Flush the per-event attribution outcome tallies (paper §2.3 candidate
+  /// validation) to obs counters. They are plain integers bumped by
+  /// flush() — nothing next to the fold itself — and published once per
+  /// fold() call, keeping the per-event hot path free of atomics.
+  void publish_outcomes(u64 events_folded) {
+    static const obs::Counter c_folded = obs::counter("reduce.events.folded");
+    static const std::array<obs::Counter, kNumOutcomes> c_outcome = {
+        obs::counter("reduce.attr.clock"),          // clock-profile samples
+        obs::counter("reduce.attr.validated"),      // candidate survived validation
+        obs::counter("reduce.attr.branch_target"),  // artificial branch-target row
+        obs::counter("reduce.attr.no_candidate"),   // no backtracking / no memory op
+        obs::counter("reduce.attr.unverifiable"),   // no branch-target info
+    };
+    c_folded.add(events_folded);
+    for (size_t o = 0; o < kNumOutcomes; ++o) {
+      if (outcome_counts_[o] != 0) c_outcome[o].add(outcome_counts_[o]);
+    }
+    outcome_counts_ = {};
+  }
 
   /// One unique (decision tuple ⊗ callstack handle) pair — the fused fast
   /// path's unit of work. The fold loop makes a single hash probe per event
@@ -586,6 +574,7 @@ class RadixFolder {
       dec_n_[e.did] += e.n;
       dec_w_[e.did] += e.w;
       outcome_counts_[e.outcome] += e.n;
+      r.sample_counts[e.metric] += e.n;
       path_mc_[e.pid][e.metric] += e.w;
     }
     for (const u32 id : touched_decs_) {
@@ -620,11 +609,11 @@ class RadixFolder {
     }
   }
 
-  const sym::SymbolTable* st_ = nullptr;
-  std::array<bool, machine::kNumHwEvents> backtrack_by_event_{};
-  u32 unknown_id_ = 0;
+  const sym::SymbolTable* st_;
+  BacktrackFlags backtrack_by_event_;
+  u32 unknown_id_;
 
-  // Decision cache: lives from bind() to bind().
+  // Decision cache: lives as long as the folder.
   FlatHashU64Map<u32> dec_slots_;  // hashed tuple -> id + 1
   std::vector<Decision> decs_;
   std::vector<u64> dec_w_;  // dense weight sums, zeroed by flush()
@@ -651,8 +640,7 @@ class RadixFolder {
 };
 
 void RadixFolder::fold(ReductionResult& r, const experiment::EventStore& ev, size_t begin,
-                       size_t end, AttrOutcomes& oc) {
-  DSP_CHECK(st_ != nullptr, "RadixFolder::fold before bind");
+                       size_t end) {
   // Fresh path cache per call: callstack handles only identify stacks
   // within one store, and callers may pass a different store each call.
   path_slots_.clear();
@@ -731,31 +719,21 @@ void RadixFolder::fold(ReductionResult& r, const experiment::EventStore& ev, siz
     }
   }
 
-  // Fold-shape introspection for perf work: cache populations per call.
-  static const bool debug = std::getenv("DSPROF_RADIX_DEBUG") != nullptr;
-  if (debug) {
-    std::fprintf(stderr, "radix: events=%zu fats=%zu decs=%zu paths=%zu\n", end - begin,
-                 fats_.size(), decs_.size(), paths_.size());
-  }
   flush(r);
-  oc.clock += outcome_counts_[kOutClock];
-  oc.validated += outcome_counts_[kOutValidated];
-  oc.branch_target += outcome_counts_[kOutBranchTarget];
-  oc.no_candidate += outcome_counts_[kOutNoCandidate];
-  oc.unverifiable += outcome_counts_[kOutUnverifiable];
-  outcome_counts_ = {};
+  publish_outcomes(end - begin);
 }
 
 namespace {
 
 /// The radix engine over shards: events split into contiguous shards, one
-/// thread and one RadixFolder per shard, the folder rebound at experiment
-/// boundaries (decisions depend on the experiment's symbols and backtrack
-/// flags). Shard results merge in shard order through merge_results.
-ReductionResult reduce_radix(const std::vector<FoldContext>& ctxs, u32 unknown_id,
-                             unsigned threads) {
+/// thread per shard, each experiment segment of a shard folded by its own
+/// IncrementalReducer (decisions depend on the experiment's symbols and
+/// backtrack flags). The segment results merge in event order through
+/// merge_results. With no events at all, one empty fold still yields the
+/// result's func_names.
+ReductionResult reduce_radix(const std::vector<const Experiment*>& exps, unsigned threads) {
   std::vector<size_t> prefix{0};
-  for (const auto& c : ctxs) prefix.push_back(prefix.back() + c.events->size());
+  for (const auto* ex : exps) prefix.push_back(prefix.back() + ex->events.size());
   const size_t n = prefix.back();
 
   const size_t min_shard = 4096;
@@ -763,30 +741,23 @@ ReductionResult reduce_radix(const std::vector<FoldContext>& ctxs, u32 unknown_i
   if (nshards > 1 && n / nshards < min_shard) nshards = std::max<size_t>(1, n / min_shard);
 
   static const obs::SpanName kShardSpan = obs::span_name("reduce.shard");
-  static const obs::Histogram kShardNs = obs::histogram("reduce.shard.fold_ns");
-
-  std::vector<ReductionResult> shards(nshards);
+  std::vector<std::vector<ReductionResult>> segments(nshards);
   auto work = [&](size_t s) {
-    ReductionResult& r = shards[s];
+    const obs::ScopedSpan span(kShardSpan);
     const size_t lo = n * s / nshards;
     const size_t hi = n * (s + 1) / nshards;
-    if (lo >= hi) return;  // empty shard (e.g. every experiment is empty)
-    r.events_reduced = hi - lo;
-    const obs::ScopedSpan span(kShardSpan);
-    const obs::ScopedTimer timer(kShardNs);
-    AttrOutcomes oc;
-    RadixFolder folder;
     size_t e = 0;
-    while (prefix[e + 1] <= lo) ++e;
-    size_t g = lo;
-    while (g < hi) {
-      while (prefix[e + 1] <= g) ++e;
+    for (size_t g = lo;;) {
+      // Skip experiments that end at or before g (empty ones included).
+      while (e + 1 < exps.size() && prefix[e + 1] <= g) ++e;
+      const Experiment& ex = *exps[e];
       const size_t seg_end = std::min(hi, prefix[e + 1]);
-      folder.bind(ctxs[e].symtab, ctxs[e].backtrack_by_event, unknown_id);
-      folder.fold(r, *ctxs[e].events, g - prefix[e], seg_end - prefix[e], oc);
+      IncrementalReducer red(ex.image.symtab, ex.counters);
+      red.fold(ex.events, g - prefix[e], seg_end - prefix[e]);
+      segments[s].push_back(std::move(red).release());
       g = seg_end;
+      if (g >= hi) break;
     }
-    oc.flush(hi - lo);
   };
 
   if (nshards <= 1) {
@@ -801,27 +772,10 @@ ReductionResult reduce_radix(const std::vector<FoldContext>& ctxs, u32 unknown_i
   static const obs::Histogram kMergeNs = obs::histogram("reduce.merge_ns");
   const obs::ScopedTimer merge_timer(kMergeNs);
   std::vector<const ReductionResult*> parts;
-  parts.reserve(shards.size());
-  for (const auto& r : shards) parts.push_back(&r);
-  return merge_results(parts);
-}
-
-/// Tally per-metric sample counts for events [begin, end) — clock samples
-/// under kUserCpuMetric, hardware samples under their event id. Engine-
-/// independent by construction (a straight column scan), so every engine
-/// and the incremental fold agree on ReductionResult::sample_counts.
-void count_samples_range(MetricCounts& counts, const experiment::EventStore& ev,
-                         size_t begin, size_t end) {
-  const auto pic = ev.pic_col();
-  const auto event = ev.event_col();
-  for (size_t i = begin; i < end; ++i) {
-    counts[pic[i] == machine::kClockPic ? kUserCpuMetric
-                                        : static_cast<size_t>(event[i])] += 1;
+  for (const auto& shard : segments) {
+    for (const auto& r : shard) parts.push_back(&r);
   }
-}
-
-void count_samples(MetricCounts& counts, const std::vector<FoldContext>& ctxs) {
-  for (const auto& c : ctxs) count_samples_range(counts, *c.events, 0, c.events->size());
+  return merge_results(parts);
 }
 
 }  // namespace
@@ -840,24 +794,11 @@ unsigned Reduction::resolve_threads(unsigned requested) {
   return hw == 0 ? 1 : hw;
 }
 
-ReductionResult Reduction::run(const std::vector<const Experiment*>& exps,
-                               const ReduceOptions& options) {
+ReductionResult Reduction::run(const std::vector<const Experiment*>& exps, unsigned threads,
+                               Engine engine) {
   DSP_CHECK(!exps.empty(), "no experiments to analyze");
-  std::vector<FoldContext> ctxs;
-  ctxs.reserve(exps.size());
-  for (const auto* ex : exps) ctxs.push_back(context_of(*ex));
-  const sym::SymbolTable& st = exps[0]->image.symtab;
-  const u32 unknown_id = static_cast<u32>(st.functions().size());
-
-  ReductionResult r = options.engine == Engine::Baseline
-                          ? reduce_baseline(ctxs, unknown_id)
-                          : reduce_radix(ctxs, unknown_id, resolve_threads(options.threads));
-
-  r.func_names.reserve(st.functions().size() + 1);
-  for (const auto& f : st.functions()) r.func_names.push_back(f.name);
-  r.func_names.push_back("<unknown code>");
-  count_samples(r.sample_counts, ctxs);
-  return r;
+  return engine == Engine::Baseline ? reduce_baseline(exps)
+                                    : reduce_radix(exps, resolve_threads(threads));
 }
 
 ReductionResult merge_results(const std::vector<const ReductionResult*>& parts) {
@@ -895,19 +836,10 @@ ReductionResult merge_results(const std::vector<const ReductionResult*>& parts) 
 
 IncrementalReducer::IncrementalReducer(const sym::SymbolTable& symtab,
                                        const std::vector<experiment::CounterSpec>& counters)
-    : symtab_(&symtab), folder_(std::make_unique<RadixFolder>()) {
-  for (const auto& spec : counters) {
-    backtrack_by_event_[static_cast<size_t>(spec.event)] = spec.backtrack;
-  }
-  unknown_id_ = static_cast<u32>(symtab.functions().size());
-  // One bind for the reducer's lifetime: the symbol table and backtrack
-  // flags are fixed per session, so the decision cache warms across batches.
-  folder_->bind(symtab_, backtrack_by_event_, unknown_id_);
-  // func_names exactly as Reduction::run fills them, so a snapshot
-  // ReductionResult is indistinguishable from an offline one.
-  r_.func_names.reserve(symtab.functions().size() + 1);
-  for (const auto& f : symtab.functions()) r_.func_names.push_back(f.name);
-  r_.func_names.push_back("<unknown code>");
+    : folder_(std::make_unique<RadixFolder>(symtab, backtrack_flags(counters))) {
+  // One folder for the reducer's lifetime: the symbol table and backtrack
+  // flags are fixed, so the decision cache warms across batches.
+  r_.func_names = func_names_of(symtab);
 }
 
 IncrementalReducer::~IncrementalReducer() = default;
@@ -917,13 +849,10 @@ IncrementalReducer& IncrementalReducer::operator=(IncrementalReducer&&) noexcept
 void IncrementalReducer::fold(const experiment::EventStore& events, size_t begin,
                               size_t end) {
   DSP_CHECK(begin <= end && end <= events.size(), "fold range outside event store");
-  static const obs::Histogram kFoldNs = obs::histogram("reduce.incremental.fold_ns");
+  static const obs::Histogram kFoldNs = obs::histogram("reduce.fold_ns");
   const obs::ScopedTimer timer(kFoldNs);
-  AttrOutcomes oc;
-  folder_->fold(r_, events, begin, end, oc);
-  oc.flush(end - begin);
+  folder_->fold(r_, events, begin, end);
   r_.events_reduced += end - begin;
-  count_samples_range(r_.sample_counts, events, begin, end);
 }
 
 }  // namespace dsprof::analyze

@@ -6,17 +6,19 @@
 // it with a single-pass, shardable fold:
 //
 //   * events are partitioned into contiguous shards;
-//   * each shard reduces into its own ReductionResult built on flat hash
-//     maps keyed by small integer composites (function ids instead of
-//     strings, packed (pc,artificial) / (caller,callee) / (cat,sid) keys);
+//   * each shard folds each of its experiment segments through its own
+//     IncrementalReducer — the same fold path dsprofd runs per session —
+//     into a ReductionResult built on flat hash maps keyed by small integer
+//     composites (function ids instead of strings, packed (pc,artificial) /
+//     (caller,callee) / (cat,sid) keys);
 //   * results accumulate integer weights (u64) — integer addition is
 //     associative and commutative, so the merged result is bit-identical
 //     for ANY thread count (the seed summed the same integral weights in
 //     doubles, exactly representable below 2^53, so results also match the
 //     seed bit-for-bit);
-//   * shard results merge with merge_results — the same merge the dsprofd
-//     fleet view uses — and per-event EA samples concatenate in shard
-//     order, preserving the serial event order.
+//   * the segment results merge with merge_results — the same merge the
+//     dsprofd fleet view uses — and per-event EA samples concatenate in
+//     segment order, preserving the serial event order.
 //
 // Thread count comes from the DSPROF_THREADS environment knob (default:
 // hardware concurrency; 1 = deterministic serial — which, by the argument
@@ -33,11 +35,12 @@
 //                     validation run once per unique tuple, not per event)
 //                     and dense path ids (unique (callstack, leaf) pairs),
 //                     then a tight accumulation loop adds weights into
-//                     per-shard dense arrays indexed by those ids. The id
+//                     per-segment dense arrays indexed by those ids. The id
 //                     arrays expand into the hash-keyed ReductionResult once
 //                     per fold call.
-//   Engine::Baseline  the seed's serial std::map/string fold verbatim — the
-//                     equivalence oracle and benchmark baseline.
+//   Engine::Baseline  the seed's serial std::map/string fold verbatim, with
+//                     its own sample count — the independent equivalence
+//                     oracle and benchmark baseline.
 #pragma once
 
 #include <memory>
@@ -98,10 +101,11 @@ struct ReductionResult {
 
   /// Per-metric event (sample) counts over the reduced events — clock
   /// samples under kUserCpuMetric, hardware samples under their event id.
-  /// This is the n behind the sampling-error estimate (Analysis::
-  /// metric_stderr); carrying it in the result lets the dsprofd snapshot
-  /// path — where the rendering Experiment holds no events — report the
-  /// same standard errors an offline analysis over the events would.
+  /// Each engine tallies them in its own fold. This is the n behind the
+  /// sampling-error estimate (Analysis::metric_stderr) and what
+  /// Analysis::sample_counts returns; carrying it in the result lets the
+  /// dsprofd snapshot path — where the rendering Experiment holds no
+  /// events — report the same standard errors an offline analysis would.
   MetricCounts sample_counts{};
 };
 
@@ -109,7 +113,7 @@ struct ReductionResult {
 /// been concatenated in part order and reduced offline. Exact: every
 /// aggregate is an integer (u64) sum, so the merge is associative and
 /// commutative per key, and EA samples concatenate in part order. One merge
-/// serves both scales: Reduction::run's per-shard results, and the fleet
+/// serves both scales: Reduction::run's per-segment results, and the fleet
 /// MergedView — the cross-session extension of the online-vs-offline
 /// bit-identity invariant (merging N sessions' live aggregates == one
 /// offline multi-dir reduction). All parts must come from the same binary
@@ -123,47 +127,41 @@ class Reduction {
     Baseline,  // the seed's serial std::map fold (oracle/benchmark)
   };
 
-  /// Knobs for one reduction run. `threads` as in resolve_threads (the
-  /// Baseline engine is always serial).
-  struct ReduceOptions {
-    unsigned threads = 0;
-    Engine engine = Engine::Radix;
-  };
-
   /// Resolve the thread count: `requested` if nonzero, else $DSPROF_THREADS,
   /// else std::thread::hardware_concurrency() (min 1).
   static unsigned resolve_threads(unsigned requested = 0);
 
-  /// Reduce all events of `exps` (which must share one binary).
+  /// Reduce all events of `exps` (which must share one binary). `threads`
+  /// as in resolve_threads (the Baseline engine is always serial).
   static ReductionResult run(const std::vector<const experiment::Experiment*>& exps,
-                             const ReduceOptions& options);
-  static ReductionResult run(const std::vector<const experiment::Experiment*>& exps,
-                             unsigned threads = 0, Engine engine = Engine::Radix) {
-    return run(exps, ReduceOptions{threads, engine});
-  }
+                             unsigned threads = 0, Engine engine = Engine::Radix);
 };
 
-/// The radix fold state shared by the offline Engine::Radix shards and the
-/// online IncrementalReducer (defined in reduction.cpp). Caches decisions
-/// (per unique event tuple) and paths (per unique callstack+leaf) so the
-/// per-event work is a few probes plus dense array adds.
+/// The radix fold state behind every IncrementalReducer (defined in
+/// reduction.cpp), bound to one symbol table and one set of backtrack flags
+/// for its lifetime. Caches decisions (per unique event tuple) and paths
+/// (per unique callstack+leaf) so the per-event work is a few probes plus
+/// dense array adds.
 class RadixFolder;
 
-/// Online incremental reduction: the dsprofd streaming path (src/serve/).
+/// Incremental reduction: the one Engine::Radix fold path. dsprofd folds
+/// each session's batches into one as they arrive (src/serve/), and
+/// Reduction::run folds each shard's per-experiment segments through one
+/// apiece before merging them with merge_results.
 ///
-/// Batches of events are folded into a live ReductionResult as they arrive,
-/// using the exact per-event attribution pipeline of Reduction::run. Because
-/// every aggregate accumulates integer weights (u64) — associative and
-/// commutative — the result after folding batches [0,a), [a,b), ... [y,n)
-/// is bit-identical to one offline reduction over [0,n) for any batching,
-/// and per-event EA samples concatenate in event order exactly as the
-/// offline shard merge does. That is the serve subsystem's
-/// online-vs-offline invariant (DESIGN.md §3.3); tests/serve_test.cpp and
-/// the streamed-session integration test enforce it end to end.
+/// Because every aggregate accumulates integer weights (u64) — associative
+/// and commutative — the result after folding batches [0,a), [a,b), ...
+/// [y,n) is bit-identical to one offline reduction over [0,n) for any
+/// batching, and per-event EA samples concatenate in event order exactly as
+/// the offline shard merge does. That is the serve subsystem's
+/// online-vs-offline invariant (DESIGN.md §3.3), and since the offline
+/// engine is this same reducer it holds by construction;
+/// tests/serve_test.cpp and the streamed-session integration test still
+/// check it end to end.
 ///
-/// Not thread-safe: one reducer per session, fold() called from a single
-/// ingest thread. snapshot() returns a deep copy that Analysis can render
-/// views from while folding continues.
+/// Not thread-safe: one reducer per session (or shard segment), fold()
+/// called from a single thread. snapshot() returns a deep copy that
+/// Analysis can render views from while folding continues.
 class IncrementalReducer {
  public:
   /// `symtab` must outlive the reducer. `counters` supplies the per-event
@@ -174,25 +172,19 @@ class IncrementalReducer {
   IncrementalReducer(IncrementalReducer&&) noexcept;
   IncrementalReducer& operator=(IncrementalReducer&&) noexcept;
 
-  /// Fold events [begin, end) of `events` into the live aggregates (via the
-  /// radix folder — bit-identical to both offline engines by construction).
-  /// The store must stay alive (and un-moved) only for the duration of the
+  /// Fold events [begin, end) of `events` into the live aggregates. The
+  /// store must stay alive (and un-moved) only for the duration of the
   /// call; each call re-derives callstack identities, so stores may come
   /// and go between calls (the dsprofd batch decode path).
   void fold(const experiment::EventStore& events, size_t begin, size_t end);
 
-  /// The live aggregates (valid until the next fold()).
-  const ReductionResult& result() const { return r_; }
-
   /// Deep copy of the live aggregates for snapshot rendering.
   ReductionResult snapshot() const { return r_; }
 
-  size_t events_folded() const { return r_.events_reduced; }
+  /// Move the aggregates out without a copy; the reducer is spent.
+  ReductionResult release() && { return std::move(r_); }
 
  private:
-  const sym::SymbolTable* symtab_;
-  std::array<bool, machine::kNumHwEvents> backtrack_by_event_{};
-  u32 unknown_id_ = 0;
   ReductionResult r_;
   std::unique_ptr<RadixFolder> folder_;  // persistent decision/path caches
 };

@@ -52,11 +52,12 @@ AffinityReport analyze_affinity(const analyze::Analysis& a,
   AffinityReport r;
   r.metric = opt.metric;
   r.metric_name = analyze::metric_short_name(opt.metric);
-  r.windows = a.access_windows();
+  const analyze::Analysis::MemberAccesses member_accesses = a.member_accesses();
+  r.windows = member_accesses.windows;
   r.line_size = a.ec_line_size();
 
   const auto& types = a.symtab().types();
-  const auto& accesses = a.member_accesses();
+  const auto& accesses = member_accesses.samples;
   const auto& allocs = a.allocations();
   const u64 heap_base = a.image().heap_base;
 
@@ -64,11 +65,12 @@ AffinityReport analyze_affinity(const analyze::Analysis& a,
   if (loops != nullptr) strides = sa::export_struct_strides(*loops, a.symtab());
 
   // --- hot structs, ranked by the data-object view -------------------------
+  const std::vector<analyze::Analysis::DataObjectRow> objects = a.data_objects(opt.metric);
   double struct_total = 0;
-  for (const auto& row : a.data_objects(opt.metric)) {
+  for (const auto& row : objects) {
     if (row.cat == analyze::DataCat::Struct) struct_total += row.mv[opt.metric];
   }
-  for (const auto& row : a.data_objects(opt.metric)) {
+  for (const auto& row : objects) {
     if (row.cat != analyze::DataCat::Struct) continue;
     const double w = row.mv[opt.metric];
     if (w <= 0 || struct_total <= 0) continue;

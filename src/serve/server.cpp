@@ -243,10 +243,6 @@ void Server::reader_main(Session& s) {
           return Status::make(StatusCode::Refused, "EventBatch before Hello");
         experiment::EventStore batch;
         if (Status st = decode_event_batch(std::move(f.payload), batch); !st.ok()) return st;
-        if (opt_.max_batch_events != 0 && batch.size() > opt_.max_batch_events)
-          return Status::make(StatusCode::Refused,
-                              "batch of " + std::to_string(batch.size()) +
-                                  " events exceeds per-batch cap");
         const u64 n = batch.size();
         std::unique_lock<std::mutex> lock(s.qmu);
         if (s.queue.size() >= opt_.max_queued_batches) {
@@ -440,6 +436,10 @@ void Server::finalize(Session& s) {
   s.transport->shutdown();
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Close the connection now, not when the Server goes: a long-lived
+    // daemon would otherwise hold one descriptor per finished session.
+    // stop() touches only unfinalized transports, also under mu_.
+    s.transport.reset();
     s.finalized = true;
     evict_locked();
     i64 active = 0;
@@ -545,9 +545,11 @@ void Server::stop() {
   std::vector<Session*> open;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& s : sessions_) open.push_back(s.get());
+    for (const auto& s : sessions_) {
+      open.push_back(s.get());
+      if (!s->finalized) s->transport->shutdown();  // unblock its reader
+    }
   }
-  for (Session* s : open) s->transport->shutdown();  // unblock readers
   for (Session* s : open) {
     if (s->reader_thread.joinable()) s->reader_thread.join();
     // finalize() already joined the reducer from the reader thread.

@@ -71,9 +71,6 @@ struct ServerOptions {
   enum class Overload { DropOldest, Block };
   Overload overload = Overload::DropOldest;
 
-  /// Reject event batches larger than this many events (0 = no cap).
-  size_t max_batch_events = 0;
-
   /// Test seam: called by the reducer thread before each fold. Stalling
   /// here makes the queue overflow deterministically (overload tests).
   std::function<void(u64 session_id)> before_reduce;
@@ -153,7 +150,8 @@ class Server {
   /// Block until every session so far has finalized.
   void wait_all();
 
-  /// Shut down every session (transports included) and join all threads.
+  /// Shut down every unfinished session (a finished one has already closed
+  /// its transport) and join all threads.
   void stop();
 
   size_t active_sessions() const;

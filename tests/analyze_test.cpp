@@ -366,8 +366,9 @@ TEST(AnalyzeUnits, UnverifiableWithoutDwarf) {
 TEST(AnalyzeUnits, ConcurrentReaders) {
   // The Analysis view accessors are safe to call from multiple threads: the
   // first caller triggers the lazy reduction under the internal mutex, every
-  // later caller sees the same memoized result (analysis.hpp documents this
-  // contract, dsprofd relies on it when several snapshot requests race).
+  // later caller renders from the same reduction (analysis.hpp documents
+  // this contract, dsprofd relies on it when several snapshot requests
+  // race).
   auto mod = testfix::make_chase_module(800, 4, 4096);
   const sym::Image img = scc::compile(*mod);
   auto ex = testfix::quick_collect(img, "+ecstall,1009,+ecrm,97", "hi");
@@ -398,6 +399,72 @@ TEST(AnalyzeUnits, ConcurrentReaders) {
     EXPECT_EQ(reports[t], expected) << "thread " << t;
     EXPECT_DOUBLE_EQ(totals[t], reference.total()[kUserCpuMetric]);
   }
+}
+
+TEST_F(AnalyzeEndToEnd, ConcurrentReadersGetViewsByValue) {
+  // Views are computed per call and returned by value: concurrent readers
+  // of one Analysis each get their own copy, equal to what a private
+  // Analysis computes, and changing a copy changes no later view.
+  const size_t m = static_cast<size_t>(HwEvent::EC_rd_miss);
+  const Analysis& reference = *analysis_;
+  const auto same_functions = [&](const std::vector<Analysis::FunctionRow>& got) {
+    const auto want = reference.functions(m);
+    if (got.size() != want.size()) return false;
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (got[i].name != want[i].name || got[i].mv != want[i].mv) return false;
+    }
+    return true;
+  };
+  const auto same_pcs = [&](const std::vector<Analysis::PcRow>& got) {
+    const auto want = reference.pcs(m);
+    if (got.size() != want.size()) return false;
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (got[i].pc != want[i].pc || got[i].artificial != want[i].artificial ||
+          got[i].mv != want[i].mv) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto same_members = [&](const std::vector<Analysis::MemberRow>& got) {
+    const auto want = reference.members("pair");
+    if (got.size() != want.size()) return false;
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (got[i].name != want[i].name || got[i].mv != want[i].mv) return false;
+    }
+    return true;
+  };
+  const Analysis::MemberAccesses want_acc = reference.member_accesses();
+  ASSERT_FALSE(want_acc.samples.empty());
+
+  const Analysis shared({ex1_, ex2_});  // fresh: the reduction has not run yet
+  constexpr int kThreads = 8;
+  std::vector<int> ok(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      bool good = true;
+      for (int pass = 0; pass < 3; ++pass) {
+        auto funcs = shared.functions(m);
+        auto pcs = shared.pcs(m);
+        auto members = shared.members("pair");
+        const Analysis::MemberAccesses acc = shared.member_accesses();
+        good = good && same_functions(funcs) && same_pcs(pcs) && same_members(members) &&
+               acc.windows == want_acc.windows && acc.samples.size() == want_acc.samples.size();
+        // Scribble over this thread's copies; no other view may notice.
+        for (auto& f : funcs) f.mv.fill(-1.0);
+        pcs.clear();
+        for (auto& row : members) row.name.clear();
+      }
+      ok[t] = good ? 1 : 0;
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(ok[t], 1) << "thread " << t;
+  EXPECT_TRUE(same_functions(shared.functions(m)));
+  EXPECT_TRUE(same_pcs(shared.pcs(m)));
+  EXPECT_TRUE(same_members(shared.members("pair")));
 }
 
 TEST(AnalyzeUnits, MixedExperimentsMustShareBinary) {

@@ -619,6 +619,16 @@ TEST_F(StoreRoundTrip, SerializeRangeMatchesAppendRangeSlice) {
 
 // --- radix engine equivalence ------------------------------------------------
 
+/// The reduction fields no rendered view shows in full: the per-metric
+/// sample counts behind the standard errors, the event count and the
+/// function-name table.
+void expect_same_reduction(const analyze::ReductionResult& got,
+                           const analyze::ReductionResult& want, const std::string& label) {
+  EXPECT_EQ(got.sample_counts, want.sample_counts) << label;
+  EXPECT_EQ(got.events_reduced, want.events_reduced) << label;
+  EXPECT_EQ(got.func_names, want.func_names) << label;
+}
+
 TEST_F(StoreRoundTrip, RadixMatchesBaselineForAnyThreadCount) {
   analyze::AnalysisOptions base;
   base.engine = analyze::Reduction::Engine::Baseline;
@@ -632,7 +642,7 @@ TEST_F(StoreRoundTrip, RadixMatchesBaselineForAnyThreadCount) {
     EXPECT_EQ(all_views(ar), base_views) << "threads=" << t;
     EXPECT_EQ(ar.total(), ab.total()) << "threads=" << t;
     EXPECT_EQ(ar.data_total(), ab.data_total()) << "threads=" << t;
-    EXPECT_EQ(ar.reduce().events_reduced, ab.reduce().events_reduced);
+    expect_same_reduction(ar.reduce(), ab.reduce(), "threads=" + std::to_string(t));
   }
 }
 
@@ -655,60 +665,112 @@ TEST_F(StoreRoundTrip, RadixMatchesOnMappedExperiments) {
 
 // --- engine equivalence as a property over random stores ---------------------
 
-TEST_F(StoreRoundTrip, EnginesAgreeOnRandomStoresAndThreadCounts) {
-  // Fuzz the fold inputs, not just one collected workload: random events
-  // (valid and wild PCs, random flags/EAs, stacks drawn from a small pool
-  // so interning kicks in), reduced by both engines at several thread
-  // counts — every rendered view must be byte-identical.
-  std::mt19937_64 rng(0xC0FFEE);
-  const u64 text_lo = 0x1000, text_hi = 0x1000 + 8 * 1024;
-  const auto rand_pc = [&]() -> u64 {
-    switch (rng() % 4) {
-      case 0: return text_lo + (rng() % ((text_hi - text_lo) / 4)) * 4;  // in text
-      case 1: return rng();                                              // wild
-      case 2: return 0;
-      default: return text_hi + rng() % 4096;  // just past the image
-    }
-  };
-  std::vector<u64> pool(16);
-  for (auto& p : pool) p = rand_pc();
+/// Random fold inputs: valid and wild PCs, random flags/EAs, stacks drawn
+/// from a small pool so interning kicks in. Events use the fixture image
+/// and counters.
+class RandomEvents {
+ public:
+  RandomEvents(u64 seed, const Experiment& like) : rng_(seed), like_(like) {
+    for (auto& p : pool_) p = rand_pc();
+  }
 
-  for (int round = 0; round < 3; ++round) {
+  u64 next() { return rng_(); }
+
+  /// An experiment of `n` random events.
+  Experiment experiment(size_t n) {
     Experiment ex;
-    ex.image = *StoreRoundTrip::image_;
-    ex.counters = ex_->counters;
-    ex.clock_interval = ex_->clock_interval;
-    ex.clock_hz = ex_->clock_hz;
-    const size_t n = 500 + rng() % 1500;
+    ex.image = like_.image;
+    ex.counters = like_.counters;
+    ex.clock_interval = like_.clock_interval;
+    ex.clock_hz = like_.clock_hz;
     std::vector<u64> stack;
     for (size_t i = 0; i < n; ++i) {
-      const unsigned pic = rng() % 3;  // 0, 1, or the clock pic
+      const unsigned pic = rng_() % 3;  // 0, 1, or the clock pic
       const machine::HwEvent event =
           pic == 2 ? machine::HwEvent::Cycle_cnt : ex.counters[pic].event;
       stack.clear();
-      const size_t depth = rng() % 5;
-      for (size_t d = 0; d < depth; ++d) stack.push_back(pool[rng() % pool.size()]);
-      const bool has_candidate = rng() % 2 != 0;
-      const bool has_ea = has_candidate && rng() % 2 != 0;
-      ex.events.append(pic, event, 1 + rng() % 10000, rand_pc(), has_candidate, rand_pc(),
-                       has_ea, rng() % (1u << 30), stack.data(), stack.size(), i);
+      const size_t depth = rng_() % 5;
+      for (size_t d = 0; d < depth; ++d) stack.push_back(pool_[rng_() % pool_.size()]);
+      const bool has_candidate = rng_() % 2 != 0;
+      const bool has_ea = has_candidate && rng_() % 2 != 0;
+      ex.events.append(pic, event, 1 + rng_() % 10000, rand_pc(), has_candidate, rand_pc(),
+                       has_ea, rng_() % (1u << 30), stack.data(), stack.size(), i);
     }
+    return ex;
+  }
 
-    std::string want;
-    for (const auto engine :
-         {analyze::Reduction::Engine::Baseline, analyze::Reduction::Engine::Radix}) {
-      for (const unsigned threads : {1u, 3u}) {
-        analyze::AnalysisOptions opt;
-        opt.engine = engine;
-        opt.threads = threads;
-        analyze::Analysis a(ex, opt);
-        const std::string got = analyze::render_json_report(a);
-        if (want.empty()) want = got;
-        EXPECT_EQ(got, want) << "round " << round << " engine "
-                             << static_cast<int>(engine) << " threads " << threads;
-      }
+ private:
+  u64 rand_pc() {
+    const u64 text_lo = 0x1000, text_hi = 0x1000 + 8 * 1024;
+    switch (rng_() % 4) {
+      case 0: return text_lo + (rng_() % ((text_hi - text_lo) / 4)) * 4;  // in text
+      case 1: return rng_();                                               // wild
+      case 2: return 0;
+      default: return text_hi + rng_() % 4096;  // just past the image
     }
   }
+
+  std::mt19937_64 rng_;
+  const Experiment& like_;
+  std::array<u64, 16> pool_{};
+};
+
+/// Reduce `exps` with Baseline and with Radix at each of `threads`, and
+/// expect identical reports and reduction fields throughout.
+void expect_engines_agree(const std::vector<const Experiment*>& exps,
+                          std::initializer_list<unsigned> threads, const std::string& label) {
+  analyze::AnalysisOptions base;
+  base.engine = analyze::Reduction::Engine::Baseline;
+  const analyze::Analysis ab(exps, base);
+  const std::string want = analyze::render_json_report(ab);
+  for (const unsigned t : threads) {
+    analyze::AnalysisOptions opt;
+    opt.engine = analyze::Reduction::Engine::Radix;
+    opt.threads = t;
+    const analyze::Analysis ar(exps, opt);
+    const std::string at = label + " threads " + std::to_string(t);
+    EXPECT_EQ(analyze::render_json_report(ar), want) << at;
+    expect_same_reduction(ar.reduce(), ab.reduce(), at);
+  }
+}
+
+TEST_F(StoreRoundTrip, EnginesAgreeOnRandomStoresAndThreadCounts) {
+  // Fuzz the fold inputs, not just one collected workload: random stores
+  // reduced by both engines at several thread counts — every rendered view
+  // and every reduction field must be identical.
+  RandomEvents gen(0xC0FFEE, *ex_);
+  for (int round = 0; round < 3; ++round) {
+    const Experiment ex = gen.experiment(500 + gen.next() % 1500);
+    expect_engines_agree({&ex}, {1u, 3u}, "round " + std::to_string(round));
+  }
+}
+
+TEST_F(StoreRoundTrip, EnginesAgreeOnZeroEvents) {
+  // No events at all, alone and as several experiments: the reduction still
+  // carries the function-name table and all-zero counts.
+  RandomEvents gen(1, *ex_);
+  const Experiment empty = gen.experiment(0);
+  expect_engines_agree({&empty}, {1u, 4u}, "one empty");
+  expect_engines_agree({&empty, &empty}, {1u, 4u}, "two empty");
+  const analyze::ReductionResult r = analyze::Reduction::run({&empty}, 4);
+  EXPECT_EQ(r.events_reduced, 0u);
+  EXPECT_EQ(r.func_names.size(), image_->symtab.functions().size() + 1);
+  EXPECT_EQ(r.sample_counts, analyze::MetricCounts{});
+}
+
+TEST_F(StoreRoundTrip, EnginesAgreeWhenShardBoundsFallOnExperimentBounds) {
+  // Shards hold at least 4096 events, so experiments of exactly 4096 events
+  // reduced on as many threads put every shard boundary on an experiment
+  // boundary; an empty experiment between them puts one boundary on two.
+  RandomEvents gen(0xB0B, *ex_);
+  const Experiment a = gen.experiment(4096);
+  const Experiment b = gen.experiment(4096);
+  const Experiment c = gen.experiment(4096);
+  const Experiment empty = gen.experiment(0);
+  expect_engines_agree({&a, &b}, {1u, 2u}, "a b");
+  expect_engines_agree({&a, &b, &c}, {1u, 2u, 3u}, "a b c");
+  expect_engines_agree({&a, &empty, &b}, {1u, 2u}, "a empty b");
+  expect_engines_agree({&empty, &a, &b, &empty}, {2u, 3u}, "empty a b empty");
 }
 
 }  // namespace

@@ -145,7 +145,12 @@ TEST_F(PaperWorkflow, StreamedSessionsMatchOfflineAnalysisBitForBit) {
   // snapshot to be byte-identical to the offline report over the same events
   // (`er_print <dir> -J`). Integer metric accumulation is associative, so
   // the batch split (here an uneven 777 events per frame) must not matter.
-  serve::Server server;
+  // Block, not the default DropOldest: on a loaded host the reducer may
+  // fall more than a queue's worth of batches behind, and the check needs
+  // every event folded.
+  serve::ServerOptions sopt;
+  sopt.overload = serve::ServerOptions::Overload::Block;
+  serve::Server server(sopt);
   for (const experiment::Experiment* ex : {&exps_->ex1, &exps_->ex2}) {
     auto [client_end, server_end] = serve::make_pipe_pair();
     server.add_session(std::move(server_end));

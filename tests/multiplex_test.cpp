@@ -404,7 +404,10 @@ TEST_F(MultiplexCollect, StreamedSnapshotsRenormalizeLikeOffline) {
   // errors included. The snapshot path has no events.bin to recount, so
   // the per-metric sample counts must travel with the reduction itself.
   const auto run = collect_mpx();
-  serve::Server server;
+  // Block: a lagging reducer must slow the stream, never drop a batch.
+  serve::ServerOptions sopt;
+  sopt.overload = serve::ServerOptions::Overload::Block;
+  serve::Server server(sopt);
   auto [client_end, server_end] = serve::make_pipe_pair();
   server.add_session(std::move(server_end));
   serve::Client client(std::move(client_end));
@@ -436,7 +439,9 @@ TEST_F(MultiplexCollect, MixedMultiplexedAndPlainDirsMergeExactly) {
 
   // Same identity through the server: two sessions (one mpx, one plain),
   // one merged fleet snapshot.
-  serve::Server server;
+  serve::ServerOptions sopt;
+  sopt.overload = serve::ServerOptions::Overload::Block;
+  serve::Server server(sopt);
   for (const auto* ex : both) {
     auto [client_end, server_end] = serve::make_pipe_pair();
     server.add_session(std::move(server_end));

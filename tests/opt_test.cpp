@@ -227,15 +227,16 @@ experiment::Experiment* ChurnLoop::ex_ = nullptr;
 
 TEST_F(ChurnLoop, MemberAccessesCarryWindowsAndAddresses) {
   analyze::Analysis a(*ex_);
-  const auto& acc = a.member_accesses();
+  const analyze::Analysis::MemberAccesses accesses = a.member_accesses();
+  const auto& acc = accesses.samples;
   ASSERT_FALSE(acc.empty());
-  EXPECT_GT(a.access_windows(), 0u);
+  EXPECT_GT(accesses.windows, 0u);
   const sym::TypeId rec = a.symtab().types().find_struct("record");
   ASSERT_NE(rec, sym::kInvalidType);
   size_t with_ea = 0;
   for (const auto& s : acc) {
     EXPECT_EQ(s.sid, rec);  // the only struct in the image
-    EXPECT_LT(s.window, a.access_windows());
+    EXPECT_LT(s.window, accesses.windows);
     EXPECT_GT(s.weight, 0u);
     if (s.has_ea) ++with_ea;
   }

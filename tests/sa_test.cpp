@@ -2,16 +2,20 @@
 //   * CFG reconstruction facts on compiled images,
 //   * BacktrackTable vs backtrack_dynamic bit-identity — exhaustive PC
 //     sweeps, the conservative annulled-delay-slot rule on a hand-assembled
-//     image, and end-to-end dual-engine collection on the chase fixture and
-//     the paper's MCF workloads (every backtrackable counter spec),
+//     image, and table-vs-reference answers on every real overflow delivery
+//     of the chase fixture and the paper's MCF workloads (every
+//     backtrackable counter spec),
 //   * hwcprof invariant lint: default-compiled output is lint-clean, each
 //     scc codegen mutation hook fires exactly its corresponding rule,
 //   * verifier report rendering (text + JSON).
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "collect/collector.hpp"
 #include "dsl_fixtures.hpp"
 #include "mcfsim/experiments.hpp"
+#include "mem/memory.hpp"
 #include "sa/verifier.hpp"
 #include "scc/compile.hpp"
 #include "support/rng.hpp"
@@ -104,23 +108,6 @@ void expect_engines_agree(const sym::Image& img, u32 window, u64 seed,
     EXPECT_EQ(d.found, t.found) << label;
     EXPECT_FALSE(t.found) << label;
     EXPECT_FALSE(t.ea_known) << label;
-  }
-}
-
-void expect_same_events(const experiment::Experiment& x, const experiment::Experiment& y) {
-  ASSERT_EQ(x.events.size(), y.events.size());
-  for (size_t i = 0; i < x.events.size(); ++i) {
-    const experiment::EventView a = x.events[i], b = y.events[i];
-    ASSERT_EQ(a.pic, b.pic) << "event " << i;
-    ASSERT_EQ(a.event, b.event) << "event " << i;
-    ASSERT_EQ(a.weight, b.weight) << "event " << i;
-    ASSERT_EQ(a.delivered_pc, b.delivered_pc) << "event " << i;
-    ASSERT_EQ(a.has_candidate, b.has_candidate) << "event " << i;
-    ASSERT_EQ(a.candidate_pc, b.candidate_pc) << "event " << i;
-    ASSERT_EQ(a.has_ea, b.has_ea) << "event " << i;
-    ASSERT_EQ(a.ea, b.ea) << "event " << i;
-    ASSERT_TRUE(a.callstack == b.callstack) << "event " << i;
-    ASSERT_EQ(a.seq, b.seq) << "event " << i;
   }
 }
 
@@ -280,7 +267,8 @@ TEST(BacktrackTable, AnnulledDelaySlotClobberIsConservative) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: both collector engines produce identical experiments
+// End-to-end: on every real overflow delivery the collector's table answers
+// exactly what the reference search answers
 
 machine::CpuConfig small_caches() {
   machine::CpuConfig cfg;
@@ -292,15 +280,44 @@ machine::CpuConfig small_caches() {
   return cfg;
 }
 
-experiment::Experiment collect_with_engine(const sym::Image& img, const std::string& hw,
-                                           collect::BacktrackEngine engine) {
-  collect::CollectOptions opt;
-  opt.hw = hw;
-  opt.clock = "off";
-  opt.cpu = small_caches();
-  opt.backtrack_engine = engine;
-  collect::Collector c(img, opt);
-  return c.run();
+/// Run `img` on a machine::Cpu armed with the counters of `hw` and the
+/// `clock` rate as the collector arms them, and on every backtracked
+/// hardware overflow delivery compare BacktrackTable::query with
+/// backtrack_dynamic on that delivery's register snapshot. Returns the
+/// number of deliveries compared.
+size_t expect_table_matches_on_deliveries(
+    const sym::Image& img, const std::string& hw, const std::string& clock,
+    const machine::CpuConfig& cfg, const std::function<void(machine::Cpu&)>& setup = {}) {
+  const u32 window = collect::CollectOptions{}.backtrack_window;
+  const BacktrackTable table = BacktrackTable::build(img, window);
+  std::array<bool, machine::kNumHwEvents> backtrack{};
+  mem::Memory mem;
+  img.load_into(mem);
+  machine::Cpu cpu(mem, cfg);
+  cpu.set_pc(img.entry);
+  for (const auto& c : collect::parse_counter_spec(hw)) {
+    cpu.configure_pic(c.pic, c.event, c.interval);
+    backtrack[static_cast<size_t>(c.event)] = c.backtrack;
+  }
+  if (clock != "off") {
+    cpu.configure_clock_profiling(collect::overflow_interval(machine::HwEvent::Cycle_cnt, clock));
+  }
+  size_t compared = 0;
+  cpu.on_overflow = [&](const machine::OverflowDelivery& d) {
+    if (d.pic == machine::kClockPic || !backtrack[static_cast<size_t>(d.event)]) return;
+    const TriggerKind kind = machine::hw_event_info(d.event).trigger;
+    const BacktrackAnswer want =
+        collect::backtrack_dynamic(img, d.delivered_pc, kind, d.regs, window);
+    const BacktrackAnswer got = table.query(d.delivered_pc, kind, d.regs);
+    EXPECT_EQ(got.found, want.found) << hw << " seq " << d.seq;
+    EXPECT_EQ(got.candidate_pc, want.candidate_pc) << hw << " seq " << d.seq;
+    EXPECT_EQ(got.ea_known, want.ea_known) << hw << " seq " << d.seq;
+    EXPECT_EQ(got.ea, want.ea) << hw << " seq " << d.seq;
+    ++compared;
+  };
+  if (setup) setup(cpu);
+  cpu.run();
+  return compared;
 }
 
 TEST(BacktrackTable, CollectorEnginesAgreeForEveryBacktrackableCounter) {
@@ -308,42 +325,22 @@ TEST(BacktrackTable, CollectorEnginesAgreeForEveryBacktrackableCounter) {
   // Every counter whose trigger kind is searchable, one spec per PIC rule.
   for (const char* spec : {"+dcrm,97", "+dcwm,97", "+ecref,193", "+ecrm,97",
                            "+ecstall,1009", "+dtlbm,13"}) {
-    const auto table = collect_with_engine(img, spec, collect::BacktrackEngine::Table);
-    const auto dynamic = collect_with_engine(img, spec, collect::BacktrackEngine::Dynamic);
-    ASSERT_GT(table.events.size(), 0u) << spec;
-    expect_same_events(table, dynamic);
+    EXPECT_GT(expect_table_matches_on_deliveries(img, spec, "off", small_caches()), 0u) << spec;
   }
 }
 
 TEST(BacktrackTable, CollectorEnginesAgreeOnPaperMcfWorkloads) {
   // The FIG1-FIG7 benches all consume the paper's two collect command lines
-  // (§3.1). Replicate both on the small setup under each engine.
+  // (§3.1). Replicate both on the small setup.
   const auto s = mcfsim::PaperSetup::small();
   const sym::Image img = mcfsim::build_mcf_image(s.build);
-  auto collect_one = [&](const std::string& hw, const std::string& clock,
-                         collect::BacktrackEngine engine) {
-    collect::CollectOptions opt;
-    opt.hw = hw;
-    opt.clock = clock;
-    opt.cpu = s.cpu;
-    opt.backtrack_engine = engine;
-    collect::Collector c(img, opt);
-    return c.run([&](machine::Cpu& cpu) { mcfsim::write_input(cpu.memory(), s.run); });
-  };
-  {
-    const auto t = collect_one("+ecstall,20011,+ecrm,211", "hi", collect::BacktrackEngine::Table);
-    const auto d =
-        collect_one("+ecstall,20011,+ecrm,211", "hi", collect::BacktrackEngine::Dynamic);
-    ASSERT_GT(t.events.size(), 0u);
-    expect_same_events(t, d);
-  }
-  {
-    const auto t = collect_one("+ecref,997,+dtlbm,101", "off", collect::BacktrackEngine::Table);
-    const auto d =
-        collect_one("+ecref,997,+dtlbm,101", "off", collect::BacktrackEngine::Dynamic);
-    ASSERT_GT(t.events.size(), 0u);
-    expect_same_events(t, d);
-  }
+  const auto input = [&](machine::Cpu& cpu) { mcfsim::write_input(cpu.memory(), s.run); };
+  EXPECT_GT(expect_table_matches_on_deliveries(img, "+ecstall,20011,+ecrm,211", "hi", s.cpu,
+                                               input),
+            0u);
+  EXPECT_GT(
+      expect_table_matches_on_deliveries(img, "+ecref,997,+dtlbm,101", "off", s.cpu, input),
+      0u);
 }
 
 // ---------------------------------------------------------------------------

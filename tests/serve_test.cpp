@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <random>
 #include <thread>
 
@@ -62,10 +63,19 @@ std::string offline_report(const Experiment& ex) {
   return analyze::render_json_report(a);
 }
 
+/// Server options for the identity checks: Block, not the default
+/// DropOldest, so a reducer that falls more than a queue's worth of batches
+/// behind on a loaded host slows the stream instead of dropping events.
+ServerOptions lossless() {
+  ServerOptions opt;
+  opt.overload = ServerOptions::Overload::Block;
+  return opt;
+}
+
 /// Stream `ex` into a fresh in-process server with the given batch size and
 /// return the snapshot JSON (asserting clean accounting on the way).
 std::string stream_snapshot(const Experiment& ex, size_t batch_events) {
-  Server server;
+  Server server(lossless());
   auto [client_end, server_end] = make_pipe_pair();
   server.add_session(std::move(server_end));
   Client client(std::move(client_end));
@@ -309,6 +319,41 @@ TEST_F(ServeTest, UdsTransportEndToEnd) {
   ASSERT_TRUE(client.snapshot(acct, json).ok());
   EXPECT_EQ(json, offline_report(*ex_));
   ASSERT_TRUE(client.close(acct).ok());
+  server.stop();
+}
+
+size_t open_fds() {
+  size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(ServeTest, FinishedUdsSessionsReleaseTheirDescriptors) {
+  // A long-lived dsprofd serves session after session: each one must close
+  // its connection when it finishes, not when the Server is destroyed.
+  const testfix::TempDir tmp;
+  const std::string path = tmp / "fd.sock";
+  UdsListener listener(path);
+  Server server;
+  const size_t before = open_fds();
+  constexpr int kSessions = 50;
+  for (int i = 0; i < kSessions; ++i) {
+    Status st;
+    auto ct = uds_connect(path, st);  // queued in the backlog until accepted
+    ASSERT_TRUE(ct != nullptr) << st.to_string();
+    auto t = listener.accept(st, 5000);
+    ASSERT_TRUE(t != nullptr) << st.to_string();
+    server.add_session(std::move(t));
+    Client client(std::move(ct));
+    Accounting acct;
+    ASSERT_TRUE(stream_experiment(client, *ex_, 4096, acct).ok());
+    ASSERT_TRUE(client.close(acct).ok());
+  }
+  server.wait_all();
+  EXPECT_LE(open_fds(), before + 4) << "descriptors held after " << kSessions << " sessions";
   server.stop();
 }
 
@@ -955,7 +1000,7 @@ TEST_F(ServeTest, MergedSnapshotMatchesOfflineMultiDirForAnySplit) {
   const std::string offline = offline_multi({ex_, &ex2, &ex3});
   std::mt19937_64 rng(4096);
   for (int round = 0; round < 3; ++round) {
-    Server server;
+    Server server(lossless());
     std::uniform_int_distribution<size_t> d(1, ex_->events.size());
     auto c1 = open_and_stream(server, *ex_, d(rng));
     auto c2 = open_and_stream(server, ex2, d(rng));
