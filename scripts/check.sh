@@ -7,9 +7,10 @@
 # plus these static/dynamic gates:
 #   - the stress gate: the tests that write files or pin the simulator
 #     (ExperimentCorruption/AlignedCorruption/StoreRoundTrip, Memory, Cache,
-#     SimDigest) run three times over at ctest -j$(nproc), so a race between
-#     tests running side by side, or a simulator change that is not bit-exact,
-#     cannot pass by luck;
+#     SimDigest) and the dsprofd session tests (ServeTest: add, finalize and
+#     join orderings) run three times over at ctest -j$(nproc), so a race
+#     between tests or threads running side by side, or a simulator change
+#     that is not bit-exact, cannot pass by luck;
 #   - clang-tidy over src/sa/, src/opt/, src/collect/, src/machine/,
 #     src/obs/, src/serve/, src/experiment/ and src/analyze/ (skipped with a
 #     notice when clang-tidy is not installed — the reference container does
@@ -30,11 +31,13 @@
 #     snapshot to be byte-identical to `er_print <saved-dir> -J` over the same
 #     events (the serve subsystem's central invariant, end to end over real
 #     processes and a real socket);
-#   - the fleet smoke gate: spawn the daemon on a TCP loopback port, stream
-#     three concurrent collect sessions into it, and require the merged
-#     fleet view to be byte-identical to offline multi-dir
-#     `er_print dir1 dir2 dir3 -J` over the three saved directories (the
-#     cross-session extension of the same invariant);
+#   - the fleet smoke gate: spawn the daemon on a TCP loopback port with room
+#     to retain exactly three sessions, stream three concurrent collect
+#     sessions into it, and require the merged fleet view, fetched twice by
+#     two monitoring clients, to be byte-identical to offline multi-dir
+#     `er_print dir1 dir2 dir3 -J` over the three saved directories both
+#     times (the cross-session extension of the same invariant; a monitor
+#     must not take a retention slot);
 #   - the er_opt smoke gate: run the closed feedback loop on the builtin
 #     mcf-small workload and require a positive end-to-end speedup plus a
 #     positive, sampling-significant User-CPU delta (the optimizer must
@@ -91,15 +94,16 @@ run_tsan() {
   "${dir}/tests/analyze_test"
 }
 
-# Stress gate: repeat the file-writing and simulator-pinning tests at full
-# parallelism. ctest runs each TEST as its own process, so tests sharing a
-# path race only when scheduled side by side; three rounds at -j$(nproc)
-# make that schedule near certain.
+# Stress gate: repeat the file-writing, simulator-pinning and dsprofd
+# session tests at full parallelism. ctest runs each TEST as its own process,
+# so tests sharing a path race only when scheduled side by side; three rounds
+# at -j$(nproc) make that schedule near certain, and run the session threads'
+# add/finalize/join orderings under a loaded scheduler.
 run_stress() {
   local dir="$1"
-  echo "== stress: file-writing and simulator-digest tests, 3 rounds at -j${jobs} =="
+  echo "== stress: file-writing, simulator-digest and session tests, 3 rounds at -j${jobs} =="
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}" --repeat until-fail:3 \
-    -R 'Experiment|Aligned|Store|Memory|Cache|SimDigest'
+    -R 'Experiment|Aligned|Store|Memory|Cache|SimDigest|ServeTest'
 }
 
 # clang-tidy over the static-analysis, layout-optimizer, collect, machine,
@@ -273,11 +277,13 @@ run_wire_docs() {
 
 # Fleet smoke gate: the cross-session extension of the central invariant,
 # end to end over real processes and a real TCP socket. A daemon on an
-# ephemeral loopback port (discovered from its readiness line) takes three
-# concurrent collect sessions under the Block policy (nothing may drop);
-# afterwards a monitoring client's merged fleet view must be byte-identical
-# to offline multi-dir `er_print exp1 exp2 exp3 -J` over the directories
-# the same three sessions saved.
+# ephemeral loopback port (discovered from its readiness line) retaining
+# three sessions takes three concurrent collect sessions under the Block
+# policy (nothing may drop); afterwards two monitoring clients in turn fetch
+# the merged fleet view, and both must be byte-identical to offline
+# multi-dir `er_print exp1 exp2 exp3 -J` over the directories the same three
+# sessions saved. The second fetch fails if the first monitor, on closing,
+# took a retention slot and evicted a collect session.
 run_fleet_smoke() {
   local dir="$1"
   echo "== fleet smoke: merged TCP fleet view vs offline multi-dir er_print -J =="
@@ -286,7 +292,7 @@ run_fleet_smoke() {
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
 
-  "${dir}/examples/dsprofd" --listen tcp://127.0.0.1:0 --policy block \
+  "${dir}/examples/dsprofd" --listen tcp://127.0.0.1:0 --policy block --retain 3 \
     >"${tmp}/daemon.log" 2>&1 &
   local daemon_pid=$!
   local uri=""
@@ -312,10 +318,13 @@ run_fleet_smoke() {
   done
   [[ ${failed} -eq 0 ]] || { kill "${daemon_pid}" 2>/dev/null; return 1; }
 
-  "${dir}/examples/dsprof_send" --connect "${uri}" --merged \
-    --report "${tmp}/merged.json" >"${tmp}/merged.log" 2>&1 \
-    || { echo "fleet smoke FAILED: merged fetch exited nonzero"
-         cat "${tmp}/merged.log"; kill "${daemon_pid}" 2>/dev/null; return 1; }
+  local m
+  for m in 1 2; do
+    "${dir}/examples/dsprof_send" --connect "${uri}" --merged \
+      --report "${tmp}/merged${m}.json" >"${tmp}/merged${m}.log" 2>&1 \
+      || { echo "fleet smoke FAILED: merged fetch ${m} exited nonzero"
+           cat "${tmp}/merged${m}.log"; kill "${daemon_pid}" 2>/dev/null; return 1; }
+  done
 
   # Graceful stop: the daemon checks its own accounting invariant on the way
   # out and exits nonzero if it broke.
@@ -326,12 +335,15 @@ run_fleet_smoke() {
 
   "${dir}/examples/er_print" "${tmp}/exp1" "${tmp}/exp2" "${tmp}/exp3" -J \
     >"${tmp}/offline.json"
-  if ! diff -q "${tmp}/merged.json" "${tmp}/offline.json" >/dev/null; then
-    echo "fleet smoke FAILED: merged fleet view differs from offline multi-dir report"
-    diff "${tmp}/merged.json" "${tmp}/offline.json" | head -20
-    return 1
-  fi
-  echo "fleet smoke: merged view of 3 TCP sessions is byte-identical to er_print exp1 exp2 exp3 -J"
+  for m in 1 2; do
+    if ! diff -q "${tmp}/merged${m}.json" "${tmp}/offline.json" >/dev/null; then
+      echo "fleet smoke FAILED: merged fleet view ${m} differs from offline multi-dir report"
+      diff "${tmp}/merged${m}.json" "${tmp}/offline.json" | head -20
+      return 1
+    fi
+  done
+  echo "fleet smoke: both merged views of 3 TCP sessions (--retain 3) are byte-identical" \
+       "to er_print exp1 exp2 exp3 -J"
 }
 
 # Multiplexing smoke gate: more than two counters must time-slice end to end.

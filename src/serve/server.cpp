@@ -120,7 +120,6 @@ struct Server::Session {
   // — is appended under qmu too.
   bool hello_done = false;
   bool closing = false;
-  bool evicted = false;  // guarded by Server::mu_ (retention)
   experiment::Experiment ex;  // events stay empty; batches live in the queue
   std::unique_ptr<analyze::IncrementalReducer> reducer;
 
@@ -153,7 +152,6 @@ struct Server::Session {
   u64 reduce_calls = 0;
   u64 reduce_ns = 0;
 
-  bool finalized = false;
   std::thread reader_thread;
   std::thread reducer_thread;
 
@@ -166,6 +164,20 @@ struct Server::Session {
   Accounting accounting() {
     std::lock_guard<std::mutex> lock(qmu);
     return {events_in, events_reduced, events_dropped};
+  }
+
+  /// Add this session's counters to the Stats totals in `st`.
+  void add_to(ServerStats& st) {
+    std::lock_guard<std::mutex> lock(qmu);
+    st.frames_in += frames_in;
+    st.batches_in += batches_in;
+    st.events_in += events_in;
+    st.events_reduced += events_reduced;
+    st.events_dropped += events_dropped;
+    st.snapshots += snapshots;
+    st.max_queue_depth = std::max(st.max_queue_depth, max_queue_depth);
+    st.reduce_calls += reduce_calls;
+    st.reduce_ns += reduce_ns;
   }
 };
 
@@ -182,14 +194,19 @@ const obs::Gauge& g_sessions_active() {
 
 u64 Server::add_session(std::unique_ptr<Transport> transport) {
   std::lock_guard<std::mutex> lock(mu_);
+  // Each exited thread released mu_ for good before it was listed.
+  for (std::thread& t : exited_) t.join();
+  exited_.clear();
   auto s = std::make_unique<Session>();
   s->id = next_session_id_++;
   s->transport = std::move(transport);
+  // stop() shuts down only the sessions live when it ran.
+  if (stopping_.load()) s->transport->shutdown();
   Session& ref = *s;
-  sessions_.push_back(std::move(s));
-  i64 active = 0;
-  for (const auto& sp : sessions_) active += sp->finalized ? 0 : 1;
-  g_sessions_active().set(active);
+  sessions_.emplace(ref.id, std::move(s));
+  g_sessions_active().set(static_cast<i64>(sessions_.size()));
+  // Reducer first: finalize, on the reader thread, joins it. Both handles
+  // are set before finalize can take mu_.
   ref.reducer_thread = std::thread([this, &ref] { reducer_main(ref); });
   ref.reader_thread = std::thread([this, &ref] { reader_main(ref); });
   return ref.id;
@@ -433,45 +450,30 @@ void Server::finalize(Session& s) {
     s.space_cv.notify_all();
   }
   s.reducer_thread.join();  // drains the queue first (fold-before-exit)
-  s.transport->shutdown();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Close the connection now, not when the Server goes: a long-lived
-    // daemon would otherwise hold one descriptor per finished session.
-    // stop() touches only unfinalized transports, also under mu_.
-    s.transport.reset();
-    s.finalized = true;
-    evict_locked();
-    i64 active = 0;
-    for (const auto& sp : sessions_) active += sp->finalized ? 0 : 1;
-    g_sessions_active().set(active);
-    // A completed session is a load event worth a window sample even when
+    s.add_to(finished_);
+    if (s.hello_done) {
+      // Keep only what merged_report reads; mu_ guards retained_.
+      retained_.emplace(s.id, Retained{std::move(s.ex), std::move(*s.reducer).release(),
+                                       s.accounting()});
+      for (; retained_.size() > opt_.retain_sessions; ++finished_.sessions_evicted) {
+        retained_.erase(retained_.begin());  // the lowest id goes first
+        c_sessions_evicted().add();
+      }
+    }
+    g_sessions_retained().set(static_cast<i64>(retained_.size()));
+    // This thread is about to return; the next add_session or stop() joins
+    // it. Erasing destroys the Session — transport, FrameReader, queue and
+    // reducer — so `s` is not touched again.
+    exited_.push_back(std::move(s.reader_thread));
+    sessions_.erase(s.id);
+    g_sessions_active().set(static_cast<i64>(sessions_.size()));
+    // A finished session is a load event worth a window sample even when
     // nobody is polling Stats just now.
     (void)stats_locked();
   }
   session_done_cv_.notify_all();
-}
-
-void Server::evict_locked() {
-  size_t retained = 0;
-  for (const auto& sp : sessions_)
-    if (sp->finalized && !sp->evicted) ++retained;
-  for (auto& sp : sessions_) {
-    if (retained <= opt_.retain_sessions) break;
-    if (!sp->finalized || sp->evicted) continue;
-    // Oldest first (sessions_ is in id order). Free the aggregates and the
-    // rendering context — the bulk of a completed session's footprint; the
-    // accounting counters stay, so cumulative stats never move backwards.
-    // The session's threads are done (finalized) and merged_report skips
-    // evicted sessions under mu_, so nobody can be reading these.
-    sp->evicted = true;
-    sp->reducer.reset();
-    sp->ex = experiment::Experiment();
-    ++sessions_evicted_;
-    c_sessions_evicted().add();
-    --retained;
-  }
-  g_sessions_retained().set(static_cast<i64>(retained));
 }
 
 Status Server::merged_report(std::string& json, Accounting& acct) {
@@ -484,84 +486,69 @@ Status Server::merged_report(std::string& json, Accounting& acct) {
   // released by the wait — so progress is independent of the locks already
   // held here.
   std::unique_lock<std::mutex> lock(mu_);
-  std::vector<Session*> included;
+  std::vector<Session*> live;
   std::vector<std::unique_lock<std::mutex>> qlocks;
-  for (auto& sp : sessions_) {
-    if (sp->evicted) continue;
+  for (auto& [id, sp] : sessions_) {
     std::unique_lock<std::mutex> ql(sp->qmu);
     if (!sp->hello_done) continue;
     sp->drain_cv.wait(ql, [&] { return sp->queue.empty() && !sp->reducing; });
-    included.push_back(sp.get());
+    live.push_back(sp.get());
     qlocks.push_back(std::move(ql));
   }
-  if (included.empty())
+  if (live.empty() && retained_.empty())
     return Status::make(StatusCode::Refused, "no sessions to merge");
 
   static const obs::SpanName kMergedSpan = obs::span_name("serve.snapshot.merged");
   const obs::ScopedSpan span(kMergedSpan);
-  std::vector<analyze::ReductionResult> parts;
+  // Retained aggregates merge in place; live ones are copied between folds.
+  std::vector<analyze::ReductionResult> copies;
+  copies.reserve(live.size());  // parts point into it
+  std::vector<const analyze::ReductionResult*> parts;
   std::vector<const experiment::Experiment*> exps;
-  parts.reserve(included.size());
-  exps.reserve(included.size());
   acct = {};
-  for (Session* s : included) {
-    parts.push_back(s->reducer->snapshot());
-    exps.push_back(&s->ex);
-    acct.events_in += s->events_in;
-    acct.events_reduced += s->events_reduced;
-    acct.events_dropped += s->events_dropped;
+  const auto include = [&](const experiment::Experiment& ex,
+                           const analyze::ReductionResult& r, const Accounting& a) {
+    exps.push_back(&ex);
+    parts.push_back(&r);
+    acct.events_in += a.events_in;
+    acct.events_reduced += a.events_reduced;
+    acct.events_dropped += a.events_dropped;
+  };
+  // Both maps are in id order: interleave them into session-id order.
+  auto rit = retained_.begin();
+  for (Session* s : live) {
+    for (; rit != retained_.end() && rit->first < s->id; ++rit)
+      include(rit->second.ex, rit->second.result, rit->second.acct);
+    copies.push_back(s->reducer->snapshot());
+    include(s->ex, copies.back(), {s->events_in, s->events_reduced, s->events_dropped});
   }
-  std::vector<const analyze::ReductionResult*> part_ptrs;
-  part_ptrs.reserve(parts.size());
-  for (const auto& p : parts) part_ptrs.push_back(&p);
+  for (; rit != retained_.end(); ++rit)
+    include(rit->second.ex, rit->second.result, rit->second.acct);
   // merge_results + the multi-experiment precomputed Analysis render the
   // exact bytes an offline multi-dir `er_print -J` over the same events
   // would (the cross-session extension of the bit-identity invariant).
-  analyze::Analysis a(exps, analyze::merge_results(part_ptrs));
+  analyze::Analysis a(exps, analyze::merge_results(parts));
   json = analyze::render_json_report(a, acct.events_dropped);
   return {};
 }
 
 void Server::wait_session(u64 id) {
   std::unique_lock<std::mutex> lock(mu_);
-  session_done_cv_.wait(lock, [&] {
-    for (const auto& s : sessions_)
-      if (s->id == id) return s->finalized;
-    return true;  // unknown id: nothing to wait for
-  });
+  session_done_cv_.wait(lock, [&] { return sessions_.count(id) == 0; });
 }
 
 void Server::wait_all() {
   std::unique_lock<std::mutex> lock(mu_);
-  session_done_cv_.wait(lock, [&] {
-    for (const auto& s : sessions_)
-      if (!s->finalized) return false;
-    return true;
-  });
+  session_done_cv_.wait(lock, [&] { return sessions_.empty(); });
 }
 
 void Server::stop() {
   stopping_.store(true);
-  std::vector<Session*> open;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& s : sessions_) {
-      open.push_back(s.get());
-      if (!s->finalized) s->transport->shutdown();  // unblock its reader
-    }
-  }
-  for (Session* s : open) {
-    if (s->reader_thread.joinable()) s->reader_thread.join();
-    // finalize() already joined the reducer from the reader thread.
-  }
-}
-
-size_t Server::active_sessions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& s : sessions_)
-    if (!s->finalized) ++n;
-  return n;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (auto& [id, s] : sessions_) s->transport->shutdown();  // unblock its reader
+  session_done_cv_.wait(lock, [&] { return sessions_.empty(); });
+  for (std::thread& t : exited_) t.join();
+  exited_.clear();
 }
 
 ServerStats Server::stats() const {
@@ -570,24 +557,11 @@ ServerStats Server::stats() const {
 }
 
 ServerStats Server::stats_locked() const {
-  ServerStats st;
-  st.sessions_total = sessions_.size();
-  for (const auto& s : sessions_) {
-    if (!s->finalized) ++st.sessions_active;
-    std::lock_guard<std::mutex> lock(s->qmu);
-    st.frames_in += s->frames_in;
-    st.batches_in += s->batches_in;
-    st.events_in += s->events_in;
-    st.events_reduced += s->events_reduced;
-    st.events_dropped += s->events_dropped;
-    st.snapshots += s->snapshots;
-    st.max_queue_depth = std::max(st.max_queue_depth, s->max_queue_depth);
-    st.reduce_calls += s->reduce_calls;
-    st.reduce_ns += s->reduce_ns;
-  }
-  st.sessions_evicted = sessions_evicted_;
-  for (const auto& s : sessions_)
-    if (s->finalized && !s->evicted) ++st.sessions_retained;
+  ServerStats st = finished_;
+  for (const auto& [id, s] : sessions_) s->add_to(st);
+  st.sessions_total = next_session_id_ - 1;
+  st.sessions_active = sessions_.size();
+  st.sessions_retained = retained_.size();
 
   // Advance the rolling window: sample the cumulative counters now, prune
   // points that fell out of the trailing window (keeping the newest such

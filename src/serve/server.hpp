@@ -37,14 +37,23 @@
 // discarded, complete frames already queued are still folded, and the
 // session finalizes with the accounting invariant intact.
 //
+// Session lifetime, live -> retained -> gone:
+//
+//   live      from add_session until its reader thread finishes; the
+//             reader joins the reducer, then finalize destroys the Session
+//             (transport, FrameReader, queue, reducer caches), adds its
+//             counters to the Stats totals and lists the reader thread for
+//             the next add_session or stop() to join.
+//   retained  a session that completed a Hello keeps only what
+//             merged_report reads: its Experiment (no events), released
+//             aggregates and accounting. Monitoring clients never are.
+//   gone      past ServerOptions::retain_sessions the lowest id is erased.
+//
 // Fleet view (merged_report / SnapshotReq with kSnapshotMergedFlag): the
-// aggregates of every retained session — completed and in-flight — merge
-// into one report via analyze::merge_results, byte-identical to an offline
-// multi-dir `er_print -J` over the same events. Completed sessions are
-// retained up to ServerOptions::retain_sessions; beyond the cap the oldest
-// is evicted (aggregates and rendering context freed, accounting counters
-// kept, obs serve.sessions.retained / serve.sessions.evicted updated).
-// The Stats frame carries, next to the cumulative totals, a rolling
+// aggregates of every retained and every live session merge, in
+// session-id order, into one report via analyze::merge_results,
+// byte-identical to an offline multi-dir `er_print -J` over the same
+// events. The Stats frame carries, next to the cumulative totals, a rolling
 // time-windowed self-profile (stats_window_ms) — deltas and event rate
 // over the trailing window, for always-on monitoring.
 #pragma once
@@ -53,6 +62,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -77,9 +87,9 @@ struct ServerOptions {
 
   /// Completed sessions retained for the merged fleet view. Beyond the cap
   /// the oldest completed session is *evicted*: its aggregates and
-  /// rendering context are freed (the bulk of a session's memory) and it
-  /// drops out of merged snapshots; its accounting counters stay, so the
-  /// cumulative Stats totals never move backwards. 0 retains nothing.
+  /// rendering context are freed and it drops out of merged snapshots; its
+  /// accounting counters stay, so the cumulative Stats totals never move
+  /// backwards. 0 retains nothing.
   size_t retain_sessions = 64;
 
   /// Rolling window of the self-profile endpoint: the Stats frame reports,
@@ -134,27 +144,27 @@ class Server {
   /// becomes a session.
   void serve(Listener& listener);
 
-  /// The fleet view: merge every retained session's live aggregates —
-  /// completed and in-flight — and render one multi-experiment JSON report,
-  /// byte-identical to an offline multi-dir `er_print a b … -J` over the
-  /// same events (reduction.hpp::merge_results documents why). Takes a
-  /// consistent cut: each included session is held quiescent (queue
-  /// drained, reducer idle) while its aggregates are copied, so no fold is
-  /// ever torn across the merge. `acct` sums the included sessions'
-  /// accounting triples. Refused when no session has completed a Hello.
+  /// The fleet view: merge the aggregates of every retained session and
+  /// every live one past its Hello, in session-id order, and render one
+  /// multi-experiment JSON report, byte-identical to an offline multi-dir
+  /// `er_print a b … -J` over the same events (reduction.hpp::merge_results
+  /// documents why). Takes a consistent cut: each live session is held
+  /// quiescent (queue drained, reducer idle) while its aggregates are
+  /// copied, so no fold is ever torn across the merge; retained aggregates
+  /// merge in place. `acct` sums the included sessions' accounting
+  /// triples. Refused when there is nothing to merge.
   Status merged_report(std::string& json, Accounting& acct);
 
-  /// Block until session `id` has finalized (client closed/disconnected).
+  /// Block until session `id` is no longer live (client closed/disconnected).
   void wait_session(u64 id);
 
-  /// Block until every session so far has finalized.
+  /// Block until no session is live.
   void wait_all();
 
-  /// Shut down every unfinished session (a finished one has already closed
-  /// its transport) and join all threads.
+  /// Shut down every live session, wait for them to finish and join all
+  /// threads.
   void stop();
 
-  size_t active_sessions() const;
   ServerStats stats() const;
 
  private:
@@ -164,15 +174,22 @@ class Server {
   void reducer_main(Session& s);
   void finalize(Session& s);
   ServerStats stats_locked() const;
-  /// Evict completed sessions beyond retain_sessions; callers hold mu_.
-  void evict_locked();
+
+  /// What a finished session keeps for merged_report.
+  struct Retained {
+    experiment::Experiment ex;  // rendering context; events stay empty
+    analyze::ReductionResult result;
+    Accounting acct;
+  };
 
   ServerOptions opt_;
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  // guards everything below but stopping_
   std::condition_variable session_done_cv_;
-  std::vector<std::unique_ptr<Session>> sessions_;
+  std::map<u64, std::unique_ptr<Session>> sessions_;  // live, by id
+  std::map<u64, Retained> retained_;                  // by id
+  ServerStats finished_;  // counters of every session no longer live
+  std::vector<std::thread> exited_;  // finished reader threads to join
   u64 next_session_id_ = 1;
-  u64 sessions_evicted_ = 0;  // guarded by mu_
   std::atomic<bool> stopping_{false};
 
   /// Rolling-window samples of the cumulative counters (guarded by mu_;

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <thread>
 
@@ -1073,6 +1074,127 @@ TEST_F(ServeTest, RetentionEvictsTheOldestCompletedSessions) {
   ASSERT_TRUE(monitor.merged_snapshot(acct, json).ok());
   EXPECT_EQ(json, offline_report(ex2));
   EXPECT_EQ(acct.events_in, ex2.events.size());
+  server.stop();
+}
+
+TEST_F(ServeTest, RetentionEvictsTheLowestIdWhenSessionsFinishOutOfOrder) {
+  // Eviction goes by session id, not by finishing order: session 2 closes
+  // before session 1, and at a cap of one the lower id (1) is evicted.
+  ServerOptions sopt = lossless();
+  sopt.retain_sessions = 1;
+  Server server(sopt);
+  const Experiment ex2 = testfix::quick_collect(*image_, "+dcrm,101", "hi", small_machine());
+  auto c1 = open_and_stream(server, *ex_, 512);
+  auto c2 = open_and_stream(server, ex2, 512);
+  Accounting acct;
+  ASSERT_TRUE(c2->close(acct).ok());
+  server.wait_session(2);
+  ASSERT_TRUE(c1->close(acct).ok());
+  server.wait_session(1);
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.sessions_retained, 1u);
+  EXPECT_EQ(st.sessions_evicted, 1u);
+  auto [m_end, s_end] = make_pipe_pair();
+  server.add_session(std::move(s_end));
+  Client monitor(std::move(m_end));
+  std::string json;
+  ASSERT_TRUE(monitor.merged_snapshot(acct, json).ok());
+  EXPECT_EQ(json, offline_report(ex2));
+  EXPECT_EQ(acct.events_in, ex2.events.size());
+  server.stop();
+}
+
+TEST_F(ServeTest, MonitorSessionsDoNotTakeRetentionSlots) {
+  // A monitoring client never sends a Hello, so it has nothing to merge:
+  // when it closes it must not be retained, nor evict a real session.
+  ServerOptions sopt = lossless();
+  sopt.retain_sessions = 1;
+  Server server(sopt);
+  auto c = open_and_stream(server, *ex_, 512);
+  Accounting acct;
+  ASSERT_TRUE(c->close(acct).ok());
+  server.wait_all();
+  for (int m = 0; m < 2; ++m) {
+    auto [m_end, s_end] = make_pipe_pair();
+    const u64 id = server.add_session(std::move(s_end));
+    Client monitor(std::move(m_end));
+    std::string json;
+    ASSERT_TRUE(monitor.merged_snapshot(acct, json).ok()) << "monitor " << m;
+    EXPECT_EQ(json, offline_report(*ex_)) << "monitor " << m;
+    ASSERT_TRUE(monitor.close(acct).ok());
+    server.wait_session(id);
+  }
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.sessions_total, 3u);
+  EXPECT_EQ(st.sessions_retained, 1u);
+  EXPECT_EQ(st.sessions_evicted, 0u);
+  server.stop();
+}
+
+// ASan's allocator holds freed blocks in a quarantine (256 MB by default),
+// so under it VmSize and VmRSS track the quarantine, not the server.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAsanAllocator = true;
+#elif defined(__has_feature)
+constexpr bool kAsanAllocator = __has_feature(address_sanitizer);
+#else
+constexpr bool kAsanAllocator = false;
+#endif
+
+/// VmSize and VmRSS of this process in kB, from /proc/self/status.
+std::pair<u64, u64> vm_size_rss_kb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  u64 size = 0, rss = 0;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) size = std::stoull(line.substr(7));
+    if (line.rfind("VmRSS:", 0) == 0) rss = std::stoull(line.substr(6));
+  }
+  return {size, rss};
+}
+
+TEST_F(ServeTest, FinishedSessionsReleaseThreadsAndWireBuffers) {
+  // A long-lived dsprofd serves session after session: a finished session
+  // must give back its threads (each maps a stack) and its wire buffers,
+  // keeping only the aggregates of the few it retains.
+  ServerOptions sopt = lossless();
+  sopt.retain_sessions = 4;
+  Server server(sopt);
+  // ex_'s events repeated to two full 4096-event batches, so each session
+  // decodes frames as large as a dsprof_send default batch.
+  Experiment ex;
+  ex.image = ex_->image;
+  ex.counters = ex_->counters;
+  ex.clock_interval = ex_->clock_interval;
+  while (ex.events.size() < 2 * 4096) ex.events.append_range(ex_->events, 0, ex_->events.size());
+  constexpr int kSessions = 100;
+  constexpr int kWarmup = 10;  // retention is full and the allocator warm
+  std::pair<u64, u64> warm{};
+  for (int i = 1; i <= kSessions; ++i) {
+    auto [client_end, server_end] = make_pipe_pair();
+    const u64 id = server.add_session(std::move(server_end));
+    Client client(std::move(client_end));
+    Accounting acct;
+    ASSERT_TRUE(stream_experiment(client, ex, 4096, acct).ok());
+    ASSERT_TRUE(client.close(acct).ok());
+    server.wait_session(id);
+    if (i == kWarmup) warm = vm_size_rss_kb();
+  }
+  const auto [size, rss] = vm_size_rss_kb();
+  // Kept per session, these grew by ~8 MB (VmSize: the reader's stack) and
+  // ~270 kB (VmRSS) for each of the 90 sessions.
+  if (!kAsanAllocator) {
+    EXPECT_LT(size, warm.first + 64 * 1024) << "VmSize kB after " << kWarmup << " sessions: "
+                                            << warm.first << ", after " << kSessions;
+    EXPECT_LT(rss, warm.second + 8 * 1024) << "VmRSS kB after " << kWarmup << " sessions: "
+                                           << warm.second << ", after " << kSessions;
+  }
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.sessions_total, static_cast<u64>(kSessions));
+  EXPECT_EQ(st.sessions_retained, 4u);
+  EXPECT_EQ(st.sessions_evicted, static_cast<u64>(kSessions - 4));
+  EXPECT_EQ(st.events_in, kSessions * ex.events.size());
+  EXPECT_EQ(st.events_reduced, kSessions * ex.events.size());
   server.stop();
 }
 
