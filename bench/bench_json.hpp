@@ -18,8 +18,8 @@
 namespace dsprof::bench {
 
 /// `"host":{...}` — the machine a bench ran on (logical CPUs, CPU model from
-/// /proc/cpuinfo where it exists, compiler), for the JSON objects whose
-/// numbers depend on it.
+/// /proc/cpuinfo where it exists, compiler). JsonSink::emit appends it to
+/// every bench's JSON object.
 inline std::string host_json() {
   std::string cpu = "unknown";
   std::ifstream info("/proc/cpuinfo");
@@ -54,8 +54,9 @@ class JsonSink {
     argc = w;
   }
 
-  /// printf-style: format the bench's one JSON object, print it as the
-  /// last stdout line, and mirror it to the --json file when requested.
+  /// printf-style: format the bench's one JSON object, append host_json()
+  /// as its last member, print it as the last stdout line, and mirror it
+  /// to the --json file when requested.
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((format(printf, 2, 3)))
 #endif
@@ -69,6 +70,7 @@ class JsonSink {
     std::string s(n > 0 ? static_cast<size_t>(n) : 0, '\0');
     if (n > 0) std::vsnprintf(s.data(), s.size() + 1, fmt, ap2);
     va_end(ap2);
+    if (!s.empty() && s.back() == '}') s.insert(s.size() - 1, "," + host_json());
     std::printf("%s\n", s.c_str());
     if (!path_.empty()) {
       std::ofstream out(path_);

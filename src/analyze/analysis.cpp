@@ -389,114 +389,137 @@ std::vector<Analysis::EffectivenessRow> Analysis::effectiveness() const {
 
 // ---------------------------------------------------------------------------
 // Address-space views
+//
+// Each view sums the EA samples per key (segment, page, E$ line, instance)
+// in sample order, in a flat table, so every key's doubles are those a
+// std::map accumulation gives. The ranked views then hand their rows to
+// std::sort in ascending key order, the order a std::map would iterate
+// them in: std::sort's moves depend only on the comparisons, so ties come
+// out in the same order too. Names are formatted for the kept rows only.
 
 namespace {
 
-const char* classify_segment(const sym::Image& img, u64 ea) {
-  if (ea >= img.text_base && ea < img.text_base + img.text_size()) return "text";
-  if (ea >= img.data_base && ea < img.data_base + std::max(img.data_size, u64{8})) return "data";
-  if (ea >= img.heap_base && ea < img.heap_base + img.heap_size) return "heap";
-  if (ea >= mem::kStackTop - mem::kStackSize && ea < mem::kStackTop + 0x4000) return "stack";
-  return "other";
+// Segment slots in name order, the order the segment view lists them.
+constexpr std::array<const char*, 5> kSegmentNames = {"data", "heap", "other", "stack", "text"};
+
+size_t classify_segment(const sym::Image& img, u64 ea) {
+  if (ea >= img.text_base && ea < img.text_base + img.text_size()) return 4;
+  if (ea >= img.data_base && ea < img.data_base + std::max(img.data_size, u64{8})) return 0;
+  if (ea >= img.heap_base && ea < img.heap_base + img.heap_size) return 1;
+  if (ea >= mem::kStackTop - mem::kStackSize && ea < mem::kStackTop + 0x4000) return 3;
+  return 2;
+}
+
+/// Indices 0..n-1 of rows in ascending key order, ranked hottest first by
+/// `mv(i)[sort_metric]` and cut to `top_n`. Must stay std::sort (see above).
+template <typename MetricsOf>
+std::vector<size_t> hottest(size_t n, size_t sort_metric, size_t top_n, MetricsOf mv) {
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return mv(a)[sort_metric] > mv(b)[sort_metric];
+  });
+  if (order.size() > top_n) order.resize(top_n);
+  return order;
+}
+
+/// The page and E$-line views: samples summed per `block`-aligned address.
+std::vector<Analysis::AddrRow> hottest_blocks(const std::vector<EaSample>& samples,
+                                              const std::array<double, kNumMetrics>& scale,
+                                              u64 block, size_t sort_metric, size_t top_n) {
+  FlatHashU64Map<MetricVector> acc;
+  for (const auto& s : samples) {
+    add_to(acc[s.ea / block * block], s.metric, s.w * scale[s.metric]);
+  }
+  auto& sums = acc.entries();  // reordered in place: the table is not probed again
+  std::sort(sums.begin(), sums.end(),
+            [](const auto& a, const auto& b) { return a.key < b.key; });
+  std::vector<Analysis::AddrRow> rows;
+  for (size_t i : hottest(sums.size(), sort_metric, top_n,
+                          [&](size_t j) -> const MetricVector& { return sums[j].value; })) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(sums[i].key));
+    rows.push_back({buf, sums[i].key, sums[i].value});
+  }
+  return rows;
 }
 
 }  // namespace
 
 std::vector<Analysis::AddrRow> Analysis::segments() const {
   const ReductionResult& r = reduce();
-  std::map<std::string, MetricVector> acc;
+  std::array<MetricVector, kSegmentNames.size()> acc{};
+  std::array<bool, kSegmentNames.size()> seen{};
   for (const auto& s : r.ea_samples) {
-    add_to(acc[classify_segment(*image_, s.ea)], s.metric, s.w * scale_[s.metric]);
+    const size_t seg = classify_segment(*image_, s.ea);
+    add_to(acc[seg], s.metric, s.w * scale_[s.metric]);
+    seen[seg] = true;
   }
   std::vector<AddrRow> rows;
-  for (const auto& [name, mv] : acc) rows.push_back({name, 0, mv});
+  for (size_t seg = 0; seg < acc.size(); ++seg) {
+    if (seen[seg]) rows.push_back({kSegmentNames[seg], 0, acc[seg]});
+  }
   return rows;
 }
 
 std::vector<Analysis::AddrRow> Analysis::pages(size_t sort_metric, size_t top_n) const {
-  const ReductionResult& r = reduce();
-  std::map<u64, MetricVector> acc;
-  for (const auto& s : r.ea_samples) {
-    add_to(acc[s.ea / page_size_ * page_size_], s.metric, s.w * scale_[s.metric]);
-  }
-  std::vector<AddrRow> rows;
-  for (const auto& [page, mv] : acc) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(page));
-    rows.push_back({buf, page, mv});
-  }
-  std::sort(rows.begin(), rows.end(), [&](const AddrRow& a, const AddrRow& b) {
-    return a.mv[sort_metric] > b.mv[sort_metric];
-  });
-  if (rows.size() > top_n) rows.resize(top_n);
-  return rows;
+  return hottest_blocks(reduce().ea_samples, scale_, page_size_, sort_metric, top_n);
 }
 
 std::vector<Analysis::AddrRow> Analysis::cache_lines(size_t sort_metric, size_t top_n) const {
-  const ReductionResult& r = reduce();
-  std::map<u64, MetricVector> acc;
-  for (const auto& s : r.ea_samples) {
-    add_to(acc[s.ea / ec_line_size_ * ec_line_size_], s.metric, s.w * scale_[s.metric]);
-  }
-  std::vector<AddrRow> rows;
-  for (const auto& [line, mv] : acc) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(line));
-    rows.push_back({buf, line, mv});
-  }
-  std::sort(rows.begin(), rows.end(), [&](const AddrRow& a, const AddrRow& b) {
-    return a.mv[sort_metric] > b.mv[sort_metric];
-  });
-  if (rows.size() > top_n) rows.resize(top_n);
-  return rows;
+  return hottest_blocks(reduce().ea_samples, scale_, ec_line_size_, sort_metric, top_n);
 }
 
 std::vector<Analysis::InstanceRow> Analysis::instances(size_t sort_metric,
                                                        size_t top_n) const {
   const ReductionResult& r = reduce();
   std::vector<InstanceRow> rows;
-  if (!allocations_.empty()) {
-    // Name instances the paper's way — allocating function + per-function
-    // ordinal in allocation order ("mcf_arena[0]", "mcf_arena[1]", ...);
-    // "alloc[k]" when no site PC was recorded (site PC 0).
-    struct Named {
-      u64 addr, size, orig;
-      std::string name;
-    };
-    std::vector<Named> allocs;
-    allocs.reserve(allocations_.size());
-    std::map<std::string, u64> ordinal;
-    for (size_t i = 0; i < allocations_.size(); ++i) {
-      const auto& a = allocations_[i];
-      std::string fn = "alloc";
-      if (a.site_pc != 0) {
-        if (const sym::FuncInfo* f = symtab().find_function(a.site_pc)) fn = f->name;
-      }
-      const u64 k = ordinal[fn]++;
-      allocs.push_back({a.addr, a.size, i, fn + "[" + std::to_string(k) + "]"});
+  if (allocations_.empty()) return rows;
+  // Name instances the paper's way — allocating function + per-function
+  // ordinal in allocation order ("mcf_arena[0]", "mcf_arena[1]", ...);
+  // "alloc[k]" when no site PC was recorded (site PC 0).
+  static const std::string kNoSite = "alloc";
+  struct Named {
+    u64 addr, size, orig;
+    const std::string* fn;
+    u64 ordinal;
+  };
+  std::vector<Named> allocs;
+  allocs.reserve(allocations_.size());
+  std::map<std::string, u64> ordinal;
+  for (size_t i = 0; i < allocations_.size(); ++i) {
+    const auto& a = allocations_[i];
+    const std::string* fn = &kNoSite;
+    if (a.site_pc != 0) {
+      if (const sym::FuncInfo* f = symtab().find_function(a.site_pc)) fn = &f->name;
     }
-    // Allocations from a bump allocator are address-sorted; be safe anyway.
-    std::sort(allocs.begin(), allocs.end(),
-              [](const Named& a, const Named& b) { return a.addr < b.addr; });
-    std::map<size_t, MetricVector> acc;
-    for (const auto& s : r.ea_samples) {
-      auto ub = std::upper_bound(allocs.begin(), allocs.end(), s.ea,
-                                 [](u64 ea, const Named& a) { return ea < a.addr; });
-      if (ub == allocs.begin()) continue;
-      --ub;
-      if (s.ea >= ub->addr && s.ea < ub->addr + ub->size) {
-        add_to(acc[static_cast<size_t>(ub - allocs.begin())], s.metric,
-               s.w * scale_[s.metric]);
-      }
+    allocs.push_back({a.addr, a.size, i, fn, ordinal[*fn]++});
+  }
+  // Allocations from a bump allocator are address-sorted; be safe anyway.
+  std::sort(allocs.begin(), allocs.end(),
+            [](const Named& a, const Named& b) { return a.addr < b.addr; });
+  std::vector<MetricVector> acc(allocs.size());
+  std::vector<bool> seen(allocs.size());
+  for (const auto& s : r.ea_samples) {
+    auto ub = std::upper_bound(allocs.begin(), allocs.end(), s.ea,
+                               [](u64 ea, const Named& a) { return ea < a.addr; });
+    if (ub == allocs.begin()) continue;
+    --ub;
+    if (s.ea >= ub->addr && s.ea < ub->addr + ub->size) {
+      const auto idx = static_cast<size_t>(ub - allocs.begin());
+      add_to(acc[idx], s.metric, s.w * scale_[s.metric]);
+      seen[idx] = true;
     }
-    for (const auto& [idx, mv] : acc) {
-      rows.push_back({allocs[idx].addr, allocs[idx].size, allocs[idx].orig,
-                      allocs[idx].name, mv});
-    }
-    std::sort(rows.begin(), rows.end(), [&](const InstanceRow& a, const InstanceRow& b) {
-      return a.mv[sort_metric] > b.mv[sort_metric];
-    });
-    if (rows.size() > top_n) rows.resize(top_n);
+  }
+  std::vector<size_t> hit;  // instance indices with samples, ascending
+  for (size_t idx = 0; idx < allocs.size(); ++idx) {
+    if (seen[idx]) hit.push_back(idx);
+  }
+  for (size_t i : hottest(hit.size(), sort_metric, top_n,
+                          [&](size_t j) -> const MetricVector& { return acc[hit[j]]; })) {
+    const Named& n = allocs[hit[i]];
+    rows.push_back({n.addr, n.size, n.orig, *n.fn + "[" + std::to_string(n.ordinal) + "]",
+                    acc[hit[i]]});
   }
   return rows;
 }

@@ -811,6 +811,9 @@ ReductionResult merge_results(const std::vector<const ReductionResult*>& parts) 
     DSP_CHECK(p->func_names.empty() || p->func_names == r.func_names,
               "merged reductions must come from the same binary");
   }
+  size_t ea_samples = 0;
+  for (const auto* p : parts) ea_samples += p->ea_samples.size();
+  r.ea_samples.reserve(ea_samples);
   for (const auto* p : parts) {
     for (size_t m = 0; m < kNumMetrics; ++m) {
       r.present[m] = r.present[m] || p->present[m];

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 
+#include "obs/obs.hpp"
 #include "support/mmap_file.hpp"
 
 namespace dsprof::experiment {
@@ -59,7 +60,10 @@ void get_header(ByteReader& r, Experiment& ex, bool mpx) {
 }
 
 // Allocations (address, size, site PC — the site lets reports name
-// instances) and the ground-truth log.
+// instances). The simulator's ground-truth log (Experiment::truth) is not
+// written: a real collect cannot record it, and no analysis reads it.
+constexpr size_t kAllocRecordBytes = 3 * sizeof(u64);
+
 void put_trailer(ByteWriter& w, const Experiment& ex) {
   w.put_u32(static_cast<u32>(ex.allocations.size()));
   for (const auto& a : ex.allocations) {
@@ -67,38 +71,21 @@ void put_trailer(ByteWriter& w, const Experiment& ex) {
     w.put_u64(a.size);
     w.put_u64(a.site_pc);
   }
-  w.put_u32(static_cast<u32>(ex.truth.size()));
-  for (const auto& t : ex.truth) {
-    w.put_u64(t.seq);
-    w.put_u8(static_cast<u8>(t.pic));
-    w.put_u8(static_cast<u8>(t.event));
-    w.put_u64(t.trigger_pc);
-    w.put_u8(t.ea_valid ? 1 : 0);
-    w.put_u64(t.ea);
-    w.put_u32(t.skid);
-  }
 }
 
 void get_trailer(ByteReader& r, Experiment& ex) {
   const u32 na = r.get_u32();
+  // Bound the count by the bytes present before it drives allocation.
+  DSP_CHECK(na <= r.remaining() / kAllocRecordBytes,
+            "implausible allocation count " + std::to_string(na) + " (only " +
+                std::to_string(r.remaining()) + " trailer bytes)");
+  ex.allocations.reserve(na);
   for (u32 i = 0; i < na; ++i) {
     machine::AllocRecord a;
     a.addr = r.get_u64();
     a.size = r.get_u64();
     a.site_pc = r.get_u64();
     ex.allocations.push_back(a);
-  }
-  const u32 nt = r.get_u32();
-  for (u32 i = 0; i < nt; ++i) {
-    machine::TruthRecord t;
-    t.seq = r.get_u64();
-    t.pic = r.get_u8();
-    t.event = static_cast<machine::HwEvent>(r.get_u8());
-    t.trigger_pc = r.get_u64();
-    t.ea_valid = r.get_u8() != 0;
-    t.ea = r.get_u64();
-    t.skid = r.get_u32();
-    ex.truth.push_back(t);
   }
 }
 
@@ -139,6 +126,8 @@ std::vector<CounterSpec> get_counter_specs(ByteReader& r, bool with_set) {
 }
 
 void Experiment::save(const std::string& dir) const {
+  static const obs::Histogram kSaveNs = obs::histogram("experiment.save_ns");
+  const obs::ScopedTimer timer(kSaveNs);
   std::filesystem::create_directories(dir);
 
   write_file(dir + "/log.txt", std::vector<u8>(log.begin(), log.end()));
@@ -159,10 +148,14 @@ void Experiment::save(const std::string& dir) const {
 }
 
 Experiment Experiment::load(const std::string& dir) {
+  static const obs::Histogram kLoadNs = obs::histogram("experiment.load_ns");
+  static const obs::Counter kBytesLoaded = obs::counter("experiment.bytes_loaded");
+  const obs::ScopedTimer timer(kLoadNs);
   Experiment ex;
 
   const auto logbytes = read_file(dir + "/log.txt");
   ex.log.assign(logbytes.begin(), logbytes.end());
+  u64 bytes = logbytes.size();
 
   // Every structural problem in either binary file — truncation, corrupt
   // counts, out-of-range handles or event ids — surfaces as an Error naming
@@ -170,6 +163,7 @@ Experiment Experiment::load(const std::string& dir) {
   // uncontextualized check.
   try {
     const auto lobytes = read_file(dir + "/loadobjects.bin");
+    bytes += lobytes.size();
     ByteReader lr(lobytes);
     ex.image = sym::Image::deserialize(lr);
   } catch (const Error& e) {
@@ -180,6 +174,7 @@ Experiment Experiment::load(const std::string& dir) {
     // The EventStore keeps the mapping alive and reads its columns straight
     // out of it.
     const auto mf = MappedFile::open(dir + "/events.bin");
+    bytes += mf->size();
     ByteReader r(mf->data(), mf->size());
     const u32 magic = r.get_u32();
     DSP_CHECK(magic == kMagic || magic == kMagicMpx,
@@ -192,6 +187,7 @@ Experiment Experiment::load(const std::string& dir) {
   } catch (const Error& e) {
     fail("corrupt experiment events.bin in '" + dir + "': " + e.what());
   }
+  kBytesLoaded.add(bytes);
   return ex;
 }
 

@@ -8,6 +8,7 @@
 // the aligned columnar "DSPG" layout: every column payload is 8-byte
 // aligned, so load() maps the file and hands out zero-copy column views
 // (MappedFile reads the file into a buffer on hosts that cannot map it).
+// A trailer after the columns lists the heap allocations.
 //
 // Multiplexed runs (more counters than PIC registers, rotated across time
 // slices) save under the sibling magic "DSPJ", which extends the layout
@@ -83,6 +84,8 @@ struct Experiment {
 
   /// Ground truth per overflow event, recorded by the simulator for
   /// validation benches/tests only — the analyzer must not consult it.
+  /// In memory only: Collector::run fills it, save() does not write it
+  /// (real hardware cannot record it), so a loaded experiment has none.
   std::vector<machine::TruthRecord> truth;
 
   double seconds(u64 cycles) const {
@@ -90,9 +93,12 @@ struct Experiment {
   }
 
   /// Write the experiment directory (log.txt, loadobjects.bin, events.bin).
+  /// Records its wall time in the obs histogram experiment.save_ns.
   void save(const std::string& dir) const;
   /// Read an experiment directory. The events are a zero-copy view into the
-  /// mapped events.bin (read-only: EventStore::is_mapped()).
+  /// mapped events.bin (read-only: EventStore::is_mapped()). Records its
+  /// wall time in experiment.load_ns and the three files' sizes in the
+  /// experiment.bytes_loaded counter.
   static Experiment load(const std::string& dir);
 };
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <random>
 #include <set>
 #include <thread>
 
 #include "analyze/feedback.hpp"
 #include "analyze/reports.hpp"
 #include "dsl_fixtures.hpp"
+#include "mem/memory.hpp"
 
 namespace dsprof::analyze {
 namespace {
@@ -465,6 +469,212 @@ TEST_F(AnalyzeEndToEnd, ConcurrentReadersGetViewsByValue) {
   EXPECT_TRUE(same_functions(shared.functions(m)));
   EXPECT_TRUE(same_pcs(shared.pcs(m)));
   EXPECT_TRUE(same_members(shared.members("pair")));
+}
+
+// --- address views against their std::map reference -------------------------
+//
+// The reference bodies below are the address views as they were written
+// over std::map: one ordered-map probe per EA sample, rows in ascending key
+// order into the same std::sort. The production views aggregate in flat
+// tables and must render the same rows, doubles and tie order included.
+
+namespace addr_ref {
+
+const char* classify_segment(const sym::Image& img, u64 ea) {
+  if (ea >= img.text_base && ea < img.text_base + img.text_size()) return "text";
+  if (ea >= img.data_base && ea < img.data_base + std::max(img.data_size, u64{8})) return "data";
+  if (ea >= img.heap_base && ea < img.heap_base + img.heap_size) return "heap";
+  if (ea >= mem::kStackTop - mem::kStackSize && ea < mem::kStackTop + 0x4000) return "stack";
+  return "other";
+}
+
+std::vector<Analysis::AddrRow> segments(const Analysis& a) {
+  std::map<std::string, MetricVector> acc;
+  for (const auto& s : a.reduce().ea_samples) {
+    add_to(acc[classify_segment(a.image(), s.ea)], s.metric, s.w * a.metric_scale(s.metric));
+  }
+  std::vector<Analysis::AddrRow> rows;
+  for (const auto& [name, mv] : acc) rows.push_back({name, 0, mv});
+  return rows;
+}
+
+std::vector<Analysis::AddrRow> blocks(const Analysis& a, u64 block, size_t sort_metric,
+                                      size_t top_n) {
+  std::map<u64, MetricVector> acc;
+  for (const auto& s : a.reduce().ea_samples) {
+    add_to(acc[s.ea / block * block], s.metric, s.w * a.metric_scale(s.metric));
+  }
+  std::vector<Analysis::AddrRow> rows;
+  for (const auto& [key, mv] : acc) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(key));
+    rows.push_back({buf, key, mv});
+  }
+  std::sort(rows.begin(), rows.end(), [&](const Analysis::AddrRow& x, const Analysis::AddrRow& y) {
+    return x.mv[sort_metric] > y.mv[sort_metric];
+  });
+  if (rows.size() > top_n) rows.resize(top_n);
+  return rows;
+}
+
+std::vector<Analysis::InstanceRow> instances(const Analysis& a, size_t sort_metric,
+                                             size_t top_n) {
+  std::vector<Analysis::InstanceRow> rows;
+  if (a.allocations().empty()) return rows;
+  struct Named {
+    u64 addr, size, orig;
+    std::string name;
+  };
+  std::vector<Named> allocs;
+  std::map<std::string, u64> ordinal;
+  for (size_t i = 0; i < a.allocations().size(); ++i) {
+    const auto& al = a.allocations()[i];
+    std::string fn = "alloc";
+    if (al.site_pc != 0) {
+      if (const sym::FuncInfo* f = a.symtab().find_function(al.site_pc)) fn = f->name;
+    }
+    const u64 k = ordinal[fn]++;
+    allocs.push_back({al.addr, al.size, i, fn + "[" + std::to_string(k) + "]"});
+  }
+  std::sort(allocs.begin(), allocs.end(),
+            [](const Named& x, const Named& y) { return x.addr < y.addr; });
+  std::map<size_t, MetricVector> acc;
+  for (const auto& s : a.reduce().ea_samples) {
+    auto ub = std::upper_bound(allocs.begin(), allocs.end(), s.ea,
+                               [](u64 ea, const Named& n) { return ea < n.addr; });
+    if (ub == allocs.begin()) continue;
+    --ub;
+    if (s.ea >= ub->addr && s.ea < ub->addr + ub->size) {
+      add_to(acc[static_cast<size_t>(ub - allocs.begin())], s.metric,
+             s.w * a.metric_scale(s.metric));
+    }
+  }
+  for (const auto& [idx, mv] : acc) {
+    rows.push_back({allocs[idx].addr, allocs[idx].size, allocs[idx].orig, allocs[idx].name, mv});
+  }
+  std::sort(rows.begin(), rows.end(),
+            [&](const Analysis::InstanceRow& x, const Analysis::InstanceRow& y) {
+              return x.mv[sort_metric] > y.mv[sort_metric];
+            });
+  if (rows.size() > top_n) rows.resize(top_n);
+  return rows;
+}
+
+/// Every field, doubles as exact hex floats.
+std::string render(const MetricVector& mv) {
+  std::string out;
+  for (double v : mv) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, " %a", v);
+    out += buf;
+  }
+  return out + "\n";
+}
+
+std::string render(const std::vector<Analysis::AddrRow>& rows) {
+  std::string out;
+  for (const auto& r : rows) out += r.name + " " + std::to_string(r.key) + render(r.mv);
+  return out;
+}
+
+std::string render(const std::vector<Analysis::InstanceRow>& rows) {
+  std::string out;
+  for (const auto& r : rows) {
+    out += r.name + " " + std::to_string(r.base) + " " + std::to_string(r.size) + " " +
+           std::to_string(r.alloc_index) + render(r.mv);
+  }
+  return out;
+}
+
+/// Compare every address view with its reference at each present metric
+/// and top_n in {1, 10, all}; returns the number of rows compared.
+size_t expect_views_match(const Analysis& a) {
+  const auto segs = a.segments();
+  EXPECT_EQ(render(segs), render(segments(a)));
+  size_t rows = segs.size();
+  for (size_t m = 0; m < kNumMetrics; ++m) {
+    for (size_t top_n : {size_t{1}, size_t{10}, SIZE_MAX}) {
+      SCOPED_TRACE("metric " + std::to_string(m) + " top_n " + std::to_string(top_n));
+      const auto pages = a.pages(m, top_n);
+      EXPECT_EQ(render(pages), render(blocks(a, a.page_size(), m, top_n)));
+      const auto lines = a.cache_lines(m, top_n);
+      EXPECT_EQ(render(lines), render(blocks(a, a.ec_line_size(), m, top_n)));
+      const auto inst = a.instances(m, top_n);
+      EXPECT_EQ(render(inst), render(instances(a, m, top_n)));
+      rows += pages.size() + lines.size() + inst.size();
+    }
+  }
+  return rows;
+}
+
+}  // namespace addr_ref
+
+TEST_F(AnalyzeEndToEnd, AddressViewsMatchMapReferenceOnCollectedRuns) {
+  EXPECT_GT(addr_ref::expect_views_match(*analysis_), 0u);
+}
+
+TEST(AnalyzeUnits, AddressViewsMatchMapReferenceOnRandomTies) {
+  auto mod = testfix::make_chase_module(300, 2, 512);
+  const sym::Image img = scc::compile(*mod);
+  const u64 main_pc = img.symtab.functions().front().lo;
+  const u64 data_end = img.data_base + std::max(img.data_size, u64{8});
+
+  // A plain run (every scale exactly 1.0) and a multiplexed one whose two
+  // counter sets were live 3/5 and 2/5 of the run (scales 5/3 and 5/2).
+  experiment::Experiment plain;
+  plain.image = img;
+  plain.total_cycles = 1'000'000;
+  plain.clock_interval = 9973;
+  plain.counters = {{HwEvent::EC_stall_cycles, 1009, true, 0, 0},
+                    {HwEvent::EC_rd_miss, 97, true, 1, 0}};
+  experiment::Experiment mpx = plain;
+  mpx.counters = {{HwEvent::EC_stall_cycles, 1009, true, 0, 0},
+                  {HwEvent::EC_rd_miss, 97, true, 1, 0},
+                  {HwEvent::DTLB_miss, 13, false, 0, 1}};
+  mpx.slices = {{600'000, 3}, {400'000, 2}};
+  const std::vector<size_t> metrics = {static_cast<size_t>(HwEvent::EC_stall_cycles),
+                                       static_cast<size_t>(HwEvent::EC_rd_miss),
+                                       static_cast<size_t>(HwEvent::DTLB_miss), kUserCpuMetric};
+
+  for (u64 seed = 1; seed <= 6; ++seed) {
+    std::mt19937_64 rng(seed);
+    auto pick = [&](u64 n) { return static_cast<u64>(rng() % n); };
+    // Allocations on the heap, some named by a site in main, some with no
+    // site, one overlapping its neighbour's range, not in address order.
+    std::vector<machine::AllocRecord> allocs;
+    for (u64 k = 0; k < 12; ++k) {
+      const u64 base = img.heap_base + (11 - k) * 0x3000 + pick(3) * 0x800;
+      allocs.push_back({base, 0x1000 + pick(4) * 0x800, pick(3) == 0 ? 0 : main_pc + 4 * pick(8)});
+    }
+    plain.allocations = allocs;
+    mpx.allocations = allocs;
+
+    // EA samples: few distinct weights and many addresses hit once or twice,
+    // so most rows tie on every metric.
+    ReductionResult r;
+    const std::array<u64, 5> regions = {img.text_base, img.data_base, img.heap_base,
+                                        mem::kStackTop - 0x2000, 0x10};
+    for (int i = 0; i < 4000; ++i) {
+      const u64 region = pick(regions.size());
+      u64 ea = regions[region];
+      if (region == 0) ea += 4 * pick(std::max<u64>(img.text_words.size(), 1));
+      if (region == 1) ea += pick(data_end - img.data_base);
+      if (region == 2) ea += 8 * pick(0x9000);
+      if (region == 3) ea += 8 * pick(0x800);
+      if (region == 4) ea += 8 * pick(0x100000);
+      const size_t metric = metrics[pick(metrics.size())];
+      const double w = pick(4) == 0 ? 2018.0 : 1009.0;
+      r.ea_samples.push_back({ea, metric, w});
+    }
+    for (const experiment::Experiment* ex : {&plain, &mpx}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + (ex->multiplexed() ? " mpx" : " plain"));
+      const Analysis a(*ex, r);
+      if (ex->multiplexed()) {
+        EXPECT_NE(a.metric_scale(static_cast<size_t>(HwEvent::DTLB_miss)), 1.0);
+      }
+      EXPECT_GT(addr_ref::expect_views_match(a), 1000u);
+    }
+  }
 }
 
 TEST(AnalyzeUnits, MixedExperimentsMustShareBinary) {

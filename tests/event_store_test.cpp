@@ -11,6 +11,7 @@
 #include "analyze/reports.hpp"
 #include "dsl_fixtures.hpp"
 #include "experiment/experiment.hpp"
+#include "obs/obs.hpp"
 #include "scc/compile.hpp"
 #include "support/bytestream.hpp"
 #include "support/mmap_file.hpp"
@@ -318,9 +319,11 @@ class ExperimentCorruption : public ::testing::Test {
   }
 
   /// Save `ex`, apply `mutate` to the bytes of `file`, and expect load() to
-  /// throw an Error whose message names the file and the directory.
+  /// throw an Error whose message names the file and the directory (and
+  /// contains `reason`, when given).
   static void expect_corrupt(const Experiment& ex, const char* file,
-                             const std::function<void(std::vector<u8>&)>& mutate) {
+                             const std::function<void(std::vector<u8>&)>& mutate,
+                             const std::string& reason = "") {
     const testfix::TempDir tmp;
     const std::string dir = tmp / "exp";
     ex.save(dir);
@@ -334,6 +337,7 @@ class ExperimentCorruption : public ::testing::Test {
       const std::string msg = e.what();
       EXPECT_NE(msg.find(file), std::string::npos) << msg;
       EXPECT_NE(msg.find(dir), std::string::npos) << msg;
+      EXPECT_NE(msg.find(reason), std::string::npos) << msg;
     }
   }
 };
@@ -447,6 +451,20 @@ TEST_F(AlignedCorruption, TrailingBytesAfterTrailerAreRejected) {
   expect_corrupt(tiny_experiment(), "events.bin", [](std::vector<u8>& b) { b.push_back(0); });
 }
 
+TEST_F(AlignedCorruption, HugeAllocationCountIsRejectedBeforeAllocation) {
+  // The trailer is the allocation count and its 24-byte records; the tiny
+  // experiment has none, so the count is the file's last four bytes. An
+  // all-ones count must fail the bound against the bytes left, not drive
+  // allocation or a read past the end.
+  expect_corrupt(
+      tiny_experiment(), "events.bin",
+      [](std::vector<u8>& b) {
+        ASSERT_EQ(b.back(), 0);
+        for (size_t i = b.size() - 4; i < b.size(); ++i) b[i] = 0xFF;
+      },
+      "implausible allocation count 4294967295");
+}
+
 TEST_F(AlignedCorruption, CorruptLoadobjectsIsRejectedWithContext) {
   expect_corrupt(tiny_experiment(), "loadobjects.bin",
                  [](std::vector<u8>& b) { b.resize(b.size() / 2); });
@@ -463,6 +481,33 @@ TEST_F(AlignedCorruption, AlignedFormatStillRoundTripsAfterHardening) {
     EXPECT_TRUE(back.events.callstack(i) == ex.events.callstack(i));
   }
   EXPECT_TRUE(back.events.is_mapped());
+}
+
+// --- experiment save/load self-profile ---------------------------------------
+
+using ExperimentObs = ExperimentCorruption;
+
+TEST_F(ExperimentObs, SaveAndLoadRecordTimeAndBytesOncePerCall) {
+  if (!obs::enabled()) GTEST_SKIP() << "obs disabled (DSPROF_OBS=0)";
+  const testfix::TempDir tmp;
+  const std::string dir = tmp / "exp";
+  auto count = [](const obs::Snapshot& s, const char* name) {
+    const obs::HistogramSnapshot* h = s.histogram_by_name(name);
+    return h ? h->count : u64{0};
+  };
+  const obs::Snapshot before = obs::snapshot();
+  tiny_experiment().save(dir);
+  (void)Experiment::load(dir);
+  const obs::Snapshot after = obs::snapshot();
+  EXPECT_EQ(count(after, "experiment.save_ns") - count(before, "experiment.save_ns"), 1u);
+  EXPECT_EQ(count(after, "experiment.load_ns") - count(before, "experiment.load_ns"), 1u);
+  u64 bytes = 0;
+  for (const char* file : {"log.txt", "loadobjects.bin", "events.bin"}) {
+    bytes += read_file(dir + "/" + file).size();
+  }
+  EXPECT_EQ(after.counter_value("experiment.bytes_loaded") -
+                before.counter_value("experiment.bytes_loaded"),
+            bytes);
 }
 
 // --- experiment round trips ---------------------------------------------------
