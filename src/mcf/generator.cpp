@@ -6,17 +6,17 @@
 
 namespace dsprof::mcf {
 
-Network generate_instance(const GeneratorParams& p) {
+Instance generate_instance(const GeneratorParams& p) {
   DSP_CHECK(p.nodes >= 4, "need at least 4 nodes");
   DSP_CHECK(p.sources >= 1 && 2 * p.sources < p.nodes, "bad source count");
   Xoshiro256 rng(p.seed);
 
-  Network net;
-  net.n = p.nodes;
-  net.supply.assign(static_cast<size_t>(p.nodes + 1), 0);
+  Instance inst;
+  inst.n = p.nodes;
+  inst.supply.assign(static_cast<size_t>(p.nodes + 1), 0);
   for (i64 s = 0; s < p.sources; ++s) {
-    net.supply[static_cast<size_t>(1 + s)] = p.units;                    // pull-outs
-    net.supply[static_cast<size_t>(p.nodes - s)] = -p.units;             // pull-ins
+    inst.supply[static_cast<size_t>(1 + s)] = p.units;                    // pull-outs
+    inst.supply[static_cast<size_t>(p.nodes - s)] = -p.units;             // pull-ins
   }
 
   // Feasibility chain i -> i+1: ample capacity but expensive, so the optimal
@@ -29,7 +29,7 @@ Network generate_instance(const GeneratorParams& p) {
     c.head = i + 1;
     c.cost = p.max_cost + static_cast<cost_t>(rng.below(16));
     c.cap = p.units * p.sources;  // can carry everything
-    net.cands.push_back(c);
+    inst.cands.push_back(c);
   }
   // Random forward deadhead arcs: hub arcs fan out from the earliest trips
   // across the whole timetable; the rest stay within the local window.
@@ -45,12 +45,9 @@ Network generate_instance(const GeneratorParams& p) {
     c.head = c.tail + 1 + static_cast<i64>(rng.below(static_cast<u64>(reach)));
     c.cost = static_cast<cost_t>(rng.below(static_cast<u64>(p.max_cost)));
     c.cap = 1 + static_cast<flow_t>(rng.below(static_cast<u64>(p.max_cap)));
-    net.cands.push_back(c);
+    inst.cands.push_back(c);
   }
-
-  // Reserve the full arc array; activate a prefix (the rest price in).
-  net.arcs.assign(net.cands.size(), Arc{});
-  return net;
+  return inst;
 }
 
 }  // namespace dsprof::mcf

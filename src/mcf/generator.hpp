@@ -4,11 +4,35 @@
 // sinks (pull-ins) drain the latest; candidate deadhead arcs connect
 // time-compatible trips. All arcs point forward in time, costs are
 // nonnegative, and a high-capacity chain guarantees feasibility.
+//
+// The solver is the scc DSL program in src/mcfsim/ (the profiled target);
+// src/mcf/ssp.hpp is the independent oracle for its objective.
 #pragma once
 
-#include "mcf/net.hpp"
+#include <vector>
+
+#include "support/common.hpp"
 
 namespace dsprof::mcf {
+
+using cost_t = i64;
+using flow_t = i64;
+
+/// Candidate arc of the full (implicit) arc universe; price_out_impl
+/// activates violating candidates into the working arc array (column
+/// generation, §3).
+struct CandArc {
+  i64 tail = 0, head = 0;  // 1-based node numbers
+  cost_t cost = 0;
+  flow_t cap = 0;
+};
+
+/// A generated min-cost-flow instance.
+struct Instance {
+  i64 n = 0;                   // real nodes, numbered 1..n
+  std::vector<flow_t> supply;  // size n+1 (index by node number)
+  std::vector<CandArc> cands;  // the implicit arc universe
+};
 
 struct GeneratorParams {
   u64 seed = 42;
@@ -30,8 +54,7 @@ struct GeneratorParams {
   i64 hubs = 16;
 };
 
-/// Build a Network ready for primal_start_artificial()+global_opt().
-/// The arcs array is reserved for the full candidate set.
-Network generate_instance(const GeneratorParams& p);
+/// Build the instance: the feasibility chain first, then the deadhead arcs.
+Instance generate_instance(const GeneratorParams& p);
 
 }  // namespace dsprof::mcf

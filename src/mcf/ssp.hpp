@@ -1,9 +1,9 @@
 // Independent min-cost-flow oracle: successive shortest paths with
 // Bellman-Ford on the residual graph. Slow but simple — used only to verify
-// the network-simplex objective on small instances.
+// the objective of the DSL MCF (src/mcfsim/) on small instances.
 #pragma once
 
-#include "mcf/net.hpp"
+#include "mcf/generator.hpp"
 
 namespace dsprof::mcf {
 

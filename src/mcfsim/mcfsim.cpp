@@ -43,13 +43,8 @@ enum InputWord : i64 {
 
 }  // namespace
 
-u64 input_size_bytes(const RunParams& params) {
-  mcf::Network net = mcf::generate_instance(params.instance);
-  return 8 * (kInHeaderWords + kInWordsPerCand * net.cands.size());
-}
-
 void write_input(mem::Memory& m, const RunParams& params) {
-  mcf::Network net = mcf::generate_instance(params.instance);
+  const mcf::Instance net = mcf::generate_instance(params.instance);
   const u64 base = mem::kHeapBase;
   auto put = [&](i64 word, i64 value) {
     m.store(base + 8 * static_cast<u64>(word), 8, static_cast<u64>(value));

@@ -1,7 +1,7 @@
 // The MCF benchmark expressed in the scc DSL, compiled to s3 code and run on
 // the simulated machine — the profiled target of the paper's case study.
-// Algorithmically identical to the native src/mcf/ implementation (tests
-// compare objectives); structurally identical to the paper's program:
+// Its objective is checked against the independent successive-shortest-paths
+// oracle in src/mcf/ssp.hpp; structurally it is the paper's program:
 // the same function decomposition (refresh_potential, primal_bea_mpp,
 // sort_basket, price_out_impl, update_tree, primal_iminus, flow_cost,
 // dual_feasible, write_circulations) and the same node/arc layouts.
@@ -54,8 +54,5 @@ struct RunParams {
 /// Encode the instance + runtime parameters into the simulated input area
 /// (at the start of the heap). Call from the Collector's setup callback.
 void write_input(mem::Memory& m, const RunParams& params);
-
-/// Address and size of the input area for `params`.
-u64 input_size_bytes(const RunParams& params);
 
 }  // namespace dsprof::mcfsim

@@ -149,6 +149,4 @@ Workload workload_by_name(const std::string& name) {
   fail("unknown workload \"" + name + "\" (try: mcf, mcf-small, churn)");
 }
 
-std::vector<std::string> workload_names() { return {"mcf", "mcf-small", "churn"}; }
-
 }  // namespace dsprof::opt

@@ -374,9 +374,10 @@ void Server::reader_main(Session& s) {
       while (s.frames.next_frame(f)) {
         try {
           st = handle_frame(f);
-        } catch (const Error& e) {
-          // Analyzer invariants tripped by hostile payloads surface as a
-          // clean per-session error, never a daemon crash.
+        } catch (const std::exception& e) {
+          // Analyzer invariants tripped by hostile payloads, and any other
+          // exception a handler lets out (std::bad_alloc, std::length_error),
+          // end this session with a clean error, never the daemon.
           st = Status::make(StatusCode::Malformed, e.what());
         }
         if (!st.ok()) {
@@ -411,19 +412,20 @@ void Server::reducer_main(Session& s) {
       s.reducing = true;
       s.space_cv.notify_one();
     }
-    if (opt_.before_reduce) opt_.before_reduce(s.id);
     const u64 t0 = now_ns();
     h_queue_wait_ns().record(t0 - enq_ns);
     static const obs::SpanName kFoldSpan = obs::span_name("serve.fold");
     const obs::ScopedSpan span(kFoldSpan);
     u64 folded = batch.size();
     try {
+      if (opt_.before_reduce) opt_.before_reduce(s.id);
       s.reducer->fold(batch, 0, batch.size());
-    } catch (const Error&) {
+    } catch (const std::exception&) {
       // Defensive: deserialize_aligned already validated the batch, but
-      // a long-lived daemon must not die on a fold invariant. The batch is
-      // accounted as dropped (fold bumps its counter only on success), so
-      // events_in == events_reduced + events_dropped still holds.
+      // a long-lived daemon must not die on a fold invariant or an
+      // allocation failure. The batch is accounted as dropped (fold bumps
+      // its counter only on success), so events_in == events_reduced +
+      // events_dropped still holds.
       folded = 0;
     }
     const u64 t1 = now_ns();

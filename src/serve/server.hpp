@@ -82,7 +82,8 @@ struct ServerOptions {
   Overload overload = Overload::DropOldest;
 
   /// Test seam: called by the reducer thread before each fold. Stalling
-  /// here makes the queue overflow deterministically (overload tests).
+  /// here makes the queue overflow deterministically (overload tests); an
+  /// exception thrown here drops the batch like a failed fold.
   std::function<void(u64 session_id)> before_reduce;
 
   /// Completed sessions retained for the merged fleet view. Beyond the cap

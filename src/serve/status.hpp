@@ -6,9 +6,11 @@
 // analyzer where a corrupt experiment file is fatal — but a long-lived daemon
 // must survive a hostile or broken client: a truncated frame, a bad magic, an
 // oversized length prefix, or a mid-batch disconnect tears down *that
-// session* with a clean error, never the server. The wire decoders therefore
-// catch the bytestream layer's Error and convert it to Status::Malformed at
-// the subsystem boundary.
+// session* with a clean error, never the server. The wire decoders, the
+// session reader and the session reducer therefore catch the bytestream
+// layer's Error, and any other std::exception such as std::bad_alloc, at the
+// subsystem boundary: the decoders and the reader convert it to
+// Status::Malformed, the reducer counts the batch as dropped.
 #pragma once
 
 #include <string>

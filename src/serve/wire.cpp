@@ -101,13 +101,14 @@ bool FrameReader::next_frame(Frame& out) {
 namespace {
 
 /// Run a ByteReader decode body, converting bytestream underruns (thrown as
-/// dsprof::Error by DSP_CHECK) into a clean Malformed status. This is the
-/// subsystem boundary described in status.hpp.
+/// dsprof::Error by DSP_CHECK) and any other exception (std::bad_alloc,
+/// std::length_error) into a clean Malformed status. This is the subsystem
+/// boundary described in status.hpp.
 template <typename Fn>
 Status guarded_decode(const char* what, Fn&& fn) {
   try {
     fn();
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     return Status::make(StatusCode::Malformed, std::string(what) + ": " + e.what());
   }
   return {};

@@ -220,38 +220,5 @@ TEST(SkidZero, PerfectAttributionEndToEnd) {
   }
 }
 
-TEST(McfScaling, ObjectiveIndependentOfActivationSchedule) {
-  // The optimum must not depend on how many candidates start active or on
-  // the pricing cadence — only on the arc universe.
-  mcf::GeneratorParams gp;
-  gp.seed = 31;
-  gp.nodes = 150;
-  gp.arcs = 900;
-  mcf::SimplexParams sp;
-  std::vector<mcf::cost_t> costs;
-  for (double frac : {0.05, 0.3, 1.0}) {
-    mcf::Network net = mcf::generate_instance(gp);
-    costs.push_back(mcf::solve(net, sp, frac));
-  }
-  EXPECT_EQ(costs[0], costs[1]);
-  EXPECT_EQ(costs[1], costs[2]);
-}
-
-TEST(McfScaling, RefreshGapDoesNotChangeObjective) {
-  mcf::GeneratorParams gp;
-  gp.seed = 77;
-  gp.nodes = 120;
-  gp.arcs = 700;
-  std::vector<mcf::cost_t> costs;
-  for (i64 gap : {1, 7, 1000000}) {
-    mcf::Network net = mcf::generate_instance(gp);
-    mcf::SimplexParams sp;
-    sp.refresh_gap = gap;
-    costs.push_back(mcf::solve(net, sp));
-  }
-  EXPECT_EQ(costs[0], costs[1]);
-  EXPECT_EQ(costs[1], costs[2]);
-}
-
 }  // namespace
 }  // namespace dsprof

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <random>
 #include <thread>
 
@@ -783,6 +784,47 @@ TEST_F(ServeTest, BeforeReduceSeamForcesQueuedPath) {
   EXPECT_GT(st.batches_in, 1u);
   EXPECT_EQ(seam_hits.load(), st.batches_in);
   EXPECT_EQ(seam_hits.load(), st.reduce_calls);
+  server.stop();
+}
+
+TEST_F(ServeTest, BadAllocInOneSessionNeverEndsTheDaemon) {
+  // Any exception a session's work lets out, not only dsprof::Error, stops
+  // at the session boundary: here the fold seam of session 1 throws
+  // std::bad_alloc once, that batch counts as dropped, and a second
+  // session still streams the offline report.
+  std::atomic<u64> victim{~u64{0}};
+  std::atomic<bool> thrown{false};
+  ServerOptions sopt = lossless();
+  sopt.before_reduce = [&](u64 id) {
+    if (id == victim.load() && !thrown.exchange(true)) throw std::bad_alloc();
+  };
+  Server server(sopt);
+  const size_t kBatch = 10;
+  ASSERT_GT(ex_->events.size(), kBatch);
+  {
+    auto [client_end, server_end] = make_pipe_pair();
+    victim.store(server.add_session(std::move(server_end)));
+    Client client(std::move(client_end));
+    Accounting acct;
+    ASSERT_TRUE(stream_experiment(client, *ex_, kBatch, acct).ok());
+    EXPECT_TRUE(thrown.load());
+    EXPECT_EQ(acct.events_in, ex_->events.size());
+    EXPECT_EQ(acct.events_in, acct.events_reduced + acct.events_dropped);
+    EXPECT_EQ(acct.events_dropped, kBatch) << "exactly the first batch is dropped";
+    ASSERT_TRUE(client.close(acct).ok());
+  }
+  auto [client_end, server_end] = make_pipe_pair();
+  server.add_session(std::move(server_end));
+  Client client(std::move(client_end));
+  Accounting acct;
+  ASSERT_TRUE(stream_experiment(client, *ex_, kBatch, acct).ok());
+  EXPECT_EQ(acct.events_reduced, ex_->events.size());
+  std::string json;
+  ASSERT_TRUE(client.snapshot(acct, json).ok());
+  EXPECT_EQ(json, offline_report(*ex_));
+  ASSERT_TRUE(client.close(acct).ok());
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.events_in, st.events_reduced + st.events_dropped);
   server.stop();
 }
 

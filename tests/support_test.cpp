@@ -64,6 +64,20 @@ TEST(Rng, RangeInclusive) {
   EXPECT_EQ(seen.size(), 5u);  // all values hit
 }
 
+TEST(DspCheck, MessageIsIndependentOfTheBuildLocation) {
+  // DSP_CHECK messages name the failing line as src/..., whatever directory
+  // the tree was built in (the build maps the source root away).
+  Xoshiro256 r(3);
+  try {
+    r.below(0);
+    FAIL() << "below(0) must fail its DSP_CHECK";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/support/rng.hpp:"), std::string::npos) << what;
+    EXPECT_EQ(what.find(DSPROF_SOURCE_DIR), std::string::npos) << what;
+  }
+}
+
 TEST(NextPrime, KnownValues) {
   EXPECT_EQ(next_prime(2), 2u);
   EXPECT_EQ(next_prime(10), 11u);
